@@ -11,9 +11,7 @@ Three claims are measured on a 64-point range campaign:
   from the scalar event walk in the last ulp), and
 * packing never costs wall-clock: the packed run finishes within
   noise of the scalar run.  On host numpy the scalar path is already
-  sweep-fused per point, so packing is wall-clock-neutral there; the
-  dispatch amortisation is what the GPU backend turns into device
-  residency.
+  sweep-fused per point, so packing is wall-clock-neutral there.
 
 The end-to-end variant drives ``python -m repro.campaign run`` the
 way CI and users do, comparing ``--batch-lanes 1`` against ``auto``

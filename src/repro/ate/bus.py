@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .. import instrument
-from ..core.combined import CombinedDelayLine, process_lines_batch
+from ..core.combined import CombinedDelayLine, process_lines_pack
 from ..circuits.dac import ControlDAC
 from ..circuits.element import spawn_rngs
 from ..errors import CircuitError
@@ -179,7 +179,7 @@ class ParallelBus:
                 return records
             if batch:
                 stacked = WaveformBatch.from_waveforms(records)
-                return process_lines_batch(
+                return process_lines_pack(
                     self.delay_lines, stacked, line_rngs
                 ).waveforms()
             return [

@@ -7,7 +7,7 @@ stage count).  The pack planner groups such points into **packs** of
 up to ``--batch-lanes`` lanes; the runner evaluates each pack with one
 fused multi-lane kernel pass per simulation phase instead of one pass
 per point (see :func:`repro.campaign.runner.evaluate_pack`), which is
-where the batched backends (numpy/numba/gpu) earn their keep.
+where the batched backends (numpy/numba) earn their keep.
 
 Packing is a pure scheduling transform: every lane keeps its own
 per-point seed stream, so packed metrics are bit-for-bit identical to
@@ -23,7 +23,6 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from ..errors import CampaignError
 from ..kernels import active_backend
-from ..kernels.cascade import fusion_enabled
 
 __all__ = [
     "AUTO_LANES",
@@ -34,10 +33,9 @@ __all__ = [
 
 #: ``--batch-lanes auto`` resolution per kernel backend.  The python
 #: backend runs packs at interpreted speed (no win, and packing buys
-#: nothing over the scalar loop), the vectorised host backends saturate
-#: around 64 lanes, and the device-resident gpu backend keeps scaling
-#: well past that because each pack is one h2d/d2h round-trip.
-AUTO_LANES = {"python": 1, "numpy": 64, "numba": 64, "gpu": 256}
+#: nothing over the scalar loop); the vectorised backends saturate
+#: around 64 lanes.
+AUTO_LANES = {"python": 1, "numpy": 64, "numba": 64}
 
 
 def validate_batch_lanes(
@@ -78,13 +76,9 @@ def resolve_batch_lanes(
     """Resolve a ``--batch-lanes`` value to a concrete lane budget.
 
     ``"auto"`` picks the active kernel backend's sweet spot
-    (:data:`AUTO_LANES`).  With kernel fusion disabled the budget is
-    always 1 — the pack path exists to feed the fused cascade kernel,
-    and the unfused per-stage route would just fall back lane by lane.
+    (:data:`AUTO_LANES`).
     """
     value = validate_batch_lanes(lanes, flag=flag)
-    if not fusion_enabled():
-        return 1
     if value == "auto":
         return AUTO_LANES.get(active_backend(), 1)
     return value

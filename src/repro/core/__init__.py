@@ -19,7 +19,7 @@ from .params import (
 )
 from .fine_delay import FineDelayLine
 from .coarse_delay import CoarseDelayLine
-from .combined import CombinedDelayLine, process_lines_batch
+from .combined import CombinedDelayLine
 from .calibration import (
     CalibrationTable,
     calibration_stimulus,
@@ -44,7 +44,6 @@ __all__ = [
     "FineDelayLine",
     "CoarseDelayLine",
     "CombinedDelayLine",
-    "process_lines_batch",
     "CalibrationTable",
     "calibration_stimulus",
     "calibrate_fine_delay",

@@ -30,11 +30,9 @@ from .coarse_delay import CoarseDelayLine
 from .fine_delay import FineDelayLine, cascade_plan_pack
 from ..analysis.measurements import measure_delay, measure_delays_batch
 from ..circuits.element import spawn_rngs
-from ..kernels.cascade import fusion_enabled
 
 __all__ = [
     "CombinedDelayLine",
-    "process_lines_batch",
     "process_lines_pack",
     "calibrate_lines_pack",
 ]
@@ -343,104 +341,6 @@ class CombinedDelayLine(CircuitElement):
         )
 
 
-def _lines_batchable(lines: Sequence[CombinedDelayLine]) -> bool:
-    """Can lane *i* of a batch ride instance ``lines[i]`` in one pass?
-
-    Batched rendering shares one set of stage physics across lanes, so
-    the instances must agree on every structural parameter; per-lane
-    differences are limited to what the batched path expresses per lane
-    (tap selection, mux port skews, a scalar Vctrl).
-    """
-    if not lines:
-        return False
-    if not all(isinstance(line, CombinedDelayLine) for line in lines):
-        return False
-    template = lines[0]
-    for line in lines:
-        vctrls = line.fine.stage_vctrls()
-        if any(isinstance(v, Waveform) for v in vctrls):
-            return False
-        if any(float(v) != float(vctrls[0]) for v in vctrls[1:]):
-            return False
-        if (
-            line.fine.n_stages != template.fine.n_stages
-            or line.fine.params != template.fine.params
-            or line.fine.output_stage.params
-            != template.fine.output_stage.params
-            or line.fine.output_stage.amplitude
-            != template.fine.output_stage.amplitude
-            or line.coarse.fanout.params != template.coarse.fanout.params
-            or line.coarse.fanout.amplitude
-            != template.coarse.fanout.amplitude
-            or line.coarse.mux.params != template.coarse.mux.params
-            or line.coarse.mux.amplitude != template.coarse.mux.amplitude
-        ):
-            return False
-    return True
-
-
-def process_lines_batch(
-    lines: Sequence[CombinedDelayLine],
-    waveforms: WaveformBatch,
-    rngs: Optional[Sequence[np.random.Generator]] = None,
-) -> WaveformBatch:
-    """Run lane *i* of *waveforms* through delay line ``lines[i]``.
-
-    The bus-render primitive: N per-channel :class:`CombinedDelayLine`
-    instances, one record per channel, simulated as a single batch.
-    Per-lane tap selection, mux port skew, and (scalar) fine Vctrl are
-    honoured; when the instances differ structurally (stage counts,
-    buffer physics, per-stage or waveform-valued Vctrl) the function
-    falls back to per-lane sequential processing, so the result is
-    always exactly what the per-lane loop would produce.
-
-    *rngs* supplies lane *i*'s noise stream; ``None`` uses each line's
-    own private generator — matching ``lines[i].process(lane, None)``.
-    """
-    if len(lines) != waveforms.n_lanes:
-        raise CircuitError(
-            f"{len(lines)} delay lines for {waveforms.n_lanes} lanes"
-        )
-    if rngs is None:
-        rngs = [line._rng for line in lines]
-    elif len(rngs) != len(lines):
-        raise CircuitError(
-            f"{len(rngs)} noise streams for {len(lines)} delay lines"
-        )
-    if not _lines_batchable(lines):
-        with instrument.span("lines_batch_fallback"):
-            return WaveformBatch.from_waveforms(
-                [
-                    line.process(waveforms.lane(i), rngs[i])
-                    for i, line in enumerate(lines)
-                ]
-            )
-    with instrument.span("lines_batch"):
-        template = lines[0]
-        with instrument.span("coarse"):
-            buffered = template.coarse.fanout.process_batch(waveforms, rngs)
-            # The tap traces differ per lane (different electrical
-            # lengths) but a trace is noiseless and cheap: filter each
-            # lane's selection individually and restack.
-            lined = WaveformBatch.from_waveforms(
-                [
-                    line.coarse.lines[line.coarse.select].process(
-                        buffered.lane(i), rngs[i]
-                    )
-                    for i, line in enumerate(lines)
-                ]
-            )
-            skews = [
-                line.coarse.mux.port_skews[line.coarse.mux.select]
-                for line in lines
-            ]
-            muxed = template.coarse.mux.process_batch(
-                lined, rngs, port_skews=skews
-            )
-        vctrls = np.array([float(line.fine.vctrl) for line in lines])
-        return template.fine.process_batch(muxed, rngs, vctrls=vctrls)
-
-
 # The BufferParams fields an instance variation perturbs (see
 # InstanceVariation.buffer_params): packed lanes may differ on exactly
 # these, because the fused pack plan carries them per lane.
@@ -456,12 +356,13 @@ _PACK_VARIED_FIELDS = (
 def _lines_packable(lines: Sequence[CombinedDelayLine]) -> bool:
     """Can lane *i* of a pack ride instance ``lines[i]`` in one pass?
 
-    The pack relaxation of :func:`_lines_batchable`: lanes may differ
-    on the variation-perturbed stage fields (:data:`_PACK_VARIED_FIELDS`
-    — the fused plan carries those per lane) but must still agree on
-    everything structural — stage count, shared stage physics, output
-    stage, and the coarse section's buffer builds.  Per-stage or
-    waveform-valued Vctrl programming stays unpackable.
+    Lanes may differ on the variation-perturbed stage fields
+    (:data:`_PACK_VARIED_FIELDS` — the fused plan carries those per
+    lane) and on what the coarse section expresses per lane (tap
+    selection, mux port skews), but must agree on everything structural
+    — stage count, shared stage physics, output stage, and the coarse
+    section's buffer builds.  Per-stage or waveform-valued Vctrl
+    programming stays unpackable.
     """
     if not lines:
         return False
@@ -504,20 +405,24 @@ def process_lines_pack(
     rngs: Optional[Sequence[np.random.Generator]] = None,
     vctrls: Optional[np.ndarray] = None,
 ) -> WaveformBatch:
-    """Run lane *i* through ``lines[i]``, fusing *varied* instances.
+    """Run lane *i* of *waveforms* through delay line ``lines[i]``.
 
-    The campaign-pack primitive: where :func:`process_lines_batch`
-    requires identical stage physics across lanes, this accepts lines
-    whose buffer parameters differ by an instance-variation draw (the
-    usual shape of a Monte-Carlo campaign pack) and renders them as one
-    fused kernel call via :func:`repro.core.fine_delay.cascade_plan_pack`.
+    The lines renderer: N :class:`CombinedDelayLine` instances, one
+    record per lane, simulated as one batch — a bus's per-channel
+    circuits, or a campaign pack whose buffer parameters differ by an
+    instance-variation draw.  Per-lane tap selection, mux port skew,
+    scalar fine Vctrl and varied stage physics all ride one fused
+    kernel call via :func:`repro.core.fine_delay.cascade_plan_pack`.
     *vctrls* optionally programs lane ``i``'s fine control (the
     calibration-sweep axis); ``None`` keeps each line's own programming.
 
     Falls back to per-lane sequential processing when the lines differ
-    structurally or kernel fusion is disabled, so the result is always
-    exactly what the per-lane loop would produce; on the python kernel
-    backend the fused path is bit-exact against that loop.
+    structurally, so the result is always what the per-lane loop would
+    produce; on the python kernel backend the fused path is bit-exact
+    against that loop.
+
+    *rngs* supplies lane *i*'s noise stream; ``None`` uses each line's
+    own private generator — matching ``lines[i].process(lane, None)``.
     """
     if len(lines) != waveforms.n_lanes:
         raise CircuitError(
@@ -529,7 +434,7 @@ def process_lines_pack(
         raise CircuitError(
             f"{len(rngs)} noise streams for {len(lines)} delay lines"
         )
-    if not _lines_packable(lines) or not fusion_enabled():
+    if not _lines_packable(lines):
         with instrument.span("lines_pack_fallback"):
             outputs = []
             for i, line in enumerate(lines):

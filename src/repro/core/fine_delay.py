@@ -25,7 +25,7 @@ from ..circuits.vga_buffer import (
     band_limited_noise_batch,
 )
 from ..errors import CircuitError
-from ..kernels.cascade import CascadeStage, fusion_enabled
+from ..kernels.cascade import CascadeStage
 from ..signals.filters import bandwidth_to_time_constant, cascade_filter_plan
 from ..signals.waveform import Waveform, WaveformBatch
 from .params import DEFAULT_FINE_STAGES, FOUR_STAGE_BUFFER
@@ -259,22 +259,13 @@ class FineDelayLine(CircuitElement):
     def process(
         self, waveform: Waveform, rng: Optional[np.random.Generator] = None
     ) -> Waveform:
-        if fusion_enabled():
-            with instrument.span("fine_delay"):
-                instrument.count("fine_delay.fused_calls")
-                stages, t_out = self._cascade_plan(waveform, rng)
-                samples = kernels.fine_delay_cascade(
-                    waveform.values, stages, waveform.dt
-                )
-                return Waveform(samples, waveform.dt, t_out)
         with instrument.span("fine_delay"):
-            instrument.count("fine_delay.unfused_calls")
-            result = waveform
-            for index, stage in enumerate(self._stages):
-                with instrument.span(f"stage{index}"):
-                    result = stage.process(result, rng)
-            with instrument.span("output_stage"):
-                return self._output_stage.process(result, rng)
+            instrument.count("fine_delay.fused_calls")
+            stages, t_out = self._cascade_plan(waveform, rng)
+            samples = kernels.fine_delay_cascade(
+                waveform.values, stages, waveform.dt
+            )
+            return Waveform(samples, waveform.dt, t_out)
 
     def open_stream(
         self,
@@ -291,7 +282,7 @@ class FineDelayLine(CircuitElement):
         (and within the 0.01 ps delay contract on numpy/numba);
         ``prime=None`` freezes the whole-record statistics from the
         first chunk instead.  ``rng=None`` uses the stages' private
-        generators — the same streams the monolithic path consumes.
+        generators — the same streams :meth:`process` consumes.
         """
         from .streaming import StreamProcessor
 
@@ -328,24 +319,13 @@ class FineDelayLine(CircuitElement):
         on the python kernel backend.
         """
         rngs = self._resolve_lane_rngs(rngs, waveforms.n_lanes)
-        if fusion_enabled():
-            with instrument.span("fine_delay"):
-                instrument.count("fine_delay.fused_calls")
-                stages, t_out = self._cascade_plan_batch(
-                    waveforms, rngs, vctrls
-                )
-                samples = kernels.fine_delay_cascade_batch(
-                    waveforms.values, stages, waveforms.dt
-                )
-                return WaveformBatch(samples, waveforms.dt, t_out)
         with instrument.span("fine_delay"):
-            instrument.count("fine_delay.unfused_calls")
-            result = waveforms
-            for index, stage in enumerate(self._stages):
-                with instrument.span(f"stage{index}"):
-                    result = stage.process_batch(result, rngs, vctrl=vctrls)
-            with instrument.span("output_stage"):
-                return self._output_stage.process_batch(result, rngs)
+            instrument.count("fine_delay.fused_calls")
+            stages, t_out = self._cascade_plan_batch(waveforms, rngs, vctrls)
+            samples = kernels.fine_delay_cascade_batch(
+                waveforms.values, stages, waveforms.dt
+            )
+            return WaveformBatch(samples, waveforms.dt, t_out)
 
     # (pack planning lives at module level: cascade_plan_pack below.)
 

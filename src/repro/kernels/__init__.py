@@ -4,7 +4,7 @@ Every per-sample loop that dominates the simulator's wall-clock time —
 the slew-rate limiters inside each buffer stage, the edge-matching
 loop of the delay measurement, and the comparator walk of the
 hysteresis edge extractor — dispatches through this package to one of
-four interchangeable backends:
+three interchangeable backends:
 
 ``python``
     The original interpreted loops, kept as the bit-exact semantic
@@ -18,18 +18,15 @@ four interchangeable backends:
     Optional ``@njit`` transcriptions of the reference loops
     (``pip install repro[fast]``), bit-exact against ``python``.
     Falls back gracefully when numba is missing.
-``gpu``
-    CuPy transcription of the numpy backend's batched algebra running
-    the whole fused cascade on device (DESIGN.md §"GPU backend").
-    Without CuPy or a CUDA device it *emulates*: the identical code
-    path runs on numpy host arrays (one-time warning), so results and
-    tests are independent of whether a GPU is present.
 
 Select with the ``REPRO_KERNELS`` environment variable or
 :func:`set_backend` / :func:`use_backend`; the default (``auto``)
-prefers numba, then numpy (never gpu — device transfers only pay off
-for batched workloads, so the gpu backend is strictly opt-in).  See
-DESIGN.md §"Kernel layer".
+prefers numba, then numpy.  See DESIGN.md §"Kernel layer".
+
+Each backend has one fused cascade per record shape:
+``fine_delay_cascade_stream`` (one lane, carried per-stage state) and
+``fine_delay_cascade_batch`` (``(lanes, samples)``).  The public
+:func:`fine_delay_cascade` is the stream kernel on fresh state.
 """
 
 from __future__ import annotations
@@ -45,12 +42,8 @@ from .cascade import (
     CascadeStage,
     CascadeStageState,
     fresh_cascade_state,
-    fusion_enabled,
-    reset_fusion,
-    set_fusion,
     typical_crossing_interval,
     typical_crossing_interval_batch,
-    use_fusion,
 )
 from .dispatch import (
     BACKEND_NAMES,
@@ -73,10 +66,6 @@ __all__ = [
     "CascadeStage",
     "CascadeStageState",
     "fresh_cascade_state",
-    "fusion_enabled",
-    "set_fusion",
-    "reset_fusion",
-    "use_fusion",
     "typical_crossing_interval",
     "typical_crossing_interval_batch",
     "slew_limit",
@@ -392,13 +381,17 @@ def fine_delay_cascade(
     in stage order, filters already discretised.  Stage semantics are
     identical to :func:`repro.circuits.vga_buffer.limiting_stage`
     chained N times, minus the per-stage Waveform round-trips.
+
+    This is the backend's stream kernel on fresh state: the whole
+    record is one chunk.  It records its own ``fine_delay_cascade`` op
+    counters, distinct from :func:`fine_delay_cascade_stream`.
     """
     values = _as_float_array(values)
     return _run(
         "fine_delay_cascade",
         values.size * max(1, len(stages)),
-        lambda: get_backend().fine_delay_cascade(
-            values, list(stages), float(dt)
+        lambda: get_backend().fine_delay_cascade_stream(
+            values, list(stages), float(dt), fresh_cascade_state(len(stages))
         ),
     )
 
@@ -415,7 +408,7 @@ def fine_delay_cascade_stream(
     :class:`CascadeStageState` per stage, mutated in place) threads the
     comparator, compression, slew-tracker, filter and frozen-statistics
     state across successive calls, so feeding the chunks of a split
-    record through this kernel reproduces the monolithic run — see
+    record through this kernel reproduces one whole-record call — see
     :mod:`repro.core.streaming` for the chunk invariants.
     """
     if len(stages) != len(states):

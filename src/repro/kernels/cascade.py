@@ -6,34 +6,32 @@ it stage by stage through :class:`~repro.signals.waveform.Waveform`
 objects costs ~2(N+1) full-record allocations plus per-stage dispatch,
 filter-state solves and validation passes — overhead that dominates the
 cascade's runtime for typical record lengths.  The fused kernels
-(``fine_delay_cascade`` / ``fine_delay_cascade_batch`` in each backend)
-take the raw input samples plus a pre-built per-stage parameter plan
-and run the whole chain in one call.
+(``fine_delay_cascade_stream`` / ``fine_delay_cascade_batch`` in each
+backend) take the raw input samples plus a pre-built per-stage
+parameter plan and run the whole chain in one call; a whole record is
+one stream call on fresh state.
 
 This module holds what the three backends and the plan builder share:
 
 * :class:`CascadeStage` — the per-stage parameter record of the plan
   (amplitude target, slew step, compression law, filter coefficients,
   pre-generated noise);
+* :class:`CascadeStageState` / :func:`fresh_cascade_state` — the
+  per-stage carry of the stream kernel;
 * :func:`typical_crossing_interval` — the compression-state seeding
   helper, moved here from ``repro.circuits.vga_buffer`` so backends can
-  use it without importing the circuit layer;
-* the ``REPRO_FUSION`` switch (:func:`fusion_enabled` /
-  :func:`set_fusion` / :func:`reset_fusion` / :func:`use_fusion`) — the
-  escape hatch back to the per-stage reference path.
+  use it without importing the circuit layer.
 
-Equivalence contract (asserted by ``tests/kernels/test_fusion.py``):
-fused output is **bit-exact** against the per-stage path on the python
-backend, and within 0.01 ps of measured delay on numpy/numba.
+Equivalence contract (asserted by ``tests/kernels/test_fusion.py``
+against a chain of per-stage ``process`` calls): fused output is
+**bit-exact** against the per-stage chain on the python backend, and
+within 0.01 ps of measured delay on numpy/numba.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -43,63 +41,7 @@ __all__ = [
     "fresh_cascade_state",
     "typical_crossing_interval",
     "typical_crossing_interval_batch",
-    "fusion_enabled",
-    "set_fusion",
-    "reset_fusion",
-    "use_fusion",
 ]
-
-_ENV_VAR = "REPRO_FUSION"
-_OFF_VALUES = frozenset({"0", "off", "false", "no"})
-_ON_VALUES = frozenset({"", "1", "on", "true", "yes"})
-
-_enabled: Optional[bool] = None
-
-
-def reset_fusion() -> bool:
-    """Re-apply the ``REPRO_FUSION`` environment selection (default: on).
-
-    Unrecognised values degrade to the default with a warning, so a CI
-    matrix can export the variable unconditionally.
-    """
-    global _enabled
-    requested = os.environ.get(_ENV_VAR, "").strip().lower()
-    if requested in _OFF_VALUES:
-        _enabled = False
-    else:
-        if requested not in _ON_VALUES:
-            warnings.warn(
-                f"{_ENV_VAR}={requested!r} is not one of "
-                f"{sorted(_ON_VALUES | _OFF_VALUES)}; fusion stays on",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        _enabled = True
-    return _enabled
-
-
-def fusion_enabled() -> bool:
-    """True when the cascade runs through the fused kernels."""
-    if _enabled is None:
-        return reset_fusion()
-    return _enabled
-
-
-def set_fusion(enabled: bool) -> None:
-    """Programmatically force fusion on or off."""
-    global _enabled
-    _enabled = bool(enabled)
-
-
-@contextmanager
-def use_fusion(enabled: bool) -> Iterator[bool]:
-    """Temporarily force fusion on or off (tests, benchmarks)."""
-    previous = fusion_enabled()
-    set_fusion(enabled)
-    try:
-        yield bool(enabled)
-    finally:
-        set_fusion(previous)
 
 
 @dataclass(frozen=True)
@@ -169,7 +111,7 @@ class CascadeStageState:
     Two kinds of members live here:
 
     * **Frozen whole-record statistics** (``hysteresis``,
-      ``initial_interval``): the monolithic path derives these from the
+      ``initial_interval``): a whole-record call derives these from the
       full record (a percentile swing estimate and the median crossing
       interval).  A stream cannot see the full record, so they are
       frozen once — by a priming pass, or from the first chunk — and
@@ -179,7 +121,7 @@ class CascadeStageState:
       kernel call and written back at the bottom.
 
     ``primed`` distinguishes a fresh state (kernel performs the
-    monolithic first-sample initialisation) from a carried one.
+    first-sample initialisation from this chunk) from a carried one.
     """
 
     hysteresis: Optional[float] = None

@@ -2,18 +2,14 @@
 
 One dispatch point decides which implementation of the stateful inner
 loops runs: the pure-Python reference, the NumPy event-vectorised
-version, the optional numba-compiled version, or the CuPy-based gpu
-backend (which emulates on numpy when no device is present).
-Selection order:
+version, or the optional numba-compiled version.  Selection order:
 
 1. ``repro.kernels.set_backend(name)`` / ``use_backend(name)`` at
    runtime;
 2. the ``REPRO_KERNELS`` environment variable
-   (``python | numpy | numba | gpu | auto``), read at import and again
-   by :func:`reset_backend`;
-3. ``auto`` (the default): numba when importable, else numpy.  The gpu
-   backend is never auto-selected — transfers only pay off for batched
-   workloads, so it is strictly opt-in.
+   (``python | numpy | numba | auto``), read at import and again by
+   :func:`reset_backend`;
+3. ``auto`` (the default): numba when importable, else numpy.
 
 Requesting an unavailable backend programmatically raises
 :class:`~repro.errors.KernelError`; requesting a *known* backend that
@@ -43,7 +39,7 @@ __all__ = [
     "reset_backend",
 ]
 
-BACKEND_NAMES: Tuple[str, ...] = ("python", "numpy", "numba", "gpu")
+BACKEND_NAMES: Tuple[str, ...] = ("python", "numpy", "numba")
 _AUTO_PREFERENCE: Tuple[str, ...] = ("numba", "numpy", "python")
 _ENV_VAR = "REPRO_KERNELS"
 
@@ -103,12 +99,6 @@ def set_backend(name: str) -> str:
             f"extra for numba"
         )
     _active_module, _active_name = module, name
-    on_selected = getattr(module, "on_selected", None)
-    if on_selected is not None:
-        # Lets a backend finish env-dependent setup at selection time
-        # (the gpu backend commits its device/emulate mode here, which
-        # emits its one-time emulate warning next to the selection).
-        on_selected()
     return name
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "compressive_slew_limit_batch",
     "match_edges_batch",
     "hysteresis_crossings_batch",
-    "fine_delay_cascade",
     "fine_delay_cascade_batch",
     "fine_delay_cascade_stream",
 ]
@@ -81,49 +80,6 @@ def slew_limit(values, max_step, initial):
     return _slew_limit(values, max_step, initial)
 
 
-@njit(**_JIT_OPTIONS)
-def _compressive_slew_limit(  # pragma: no cover - compiled
-    v_in,
-    target_floor,
-    target_extra,
-    max_step,
-    dt,
-    hysteresis,
-    corner,
-    order,
-    initial_interval,
-):
-    n = target_extra.shape[0]
-    out = np.empty(n)
-    inv_2corner = 1.0 / (2.0 * corner)
-    state = 1 if v_in[0] > 0.0 else -1
-    elapsed = initial_interval
-    scale = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
-    y = target_floor[0] + scale * target_extra[0]
-    up = max_step
-    down = -max_step
-    for i in range(n):
-        v = v_in[i]
-        if state > 0:
-            if v < -hysteresis:
-                state = -1
-                scale = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
-                elapsed = 0.0
-        elif v > hysteresis:
-            state = 1
-            scale = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
-            elapsed = 0.0
-        elapsed += dt
-        dv = target_floor[i] + scale * target_extra[i] - y
-        if dv > up:
-            dv = up
-        elif dv < down:
-            dv = down
-        y += dv
-        out[i] = y
-    return out
-
-
 def compressive_slew_limit(
     v_in,
     target_floor,
@@ -135,7 +91,7 @@ def compressive_slew_limit(
     order,
     initial_interval,
 ):
-    return _compressive_slew_limit(
+    return _compressive_slew_limit_carry(
         v_in,
         target_floor,
         target_extra,
@@ -145,7 +101,12 @@ def compressive_slew_limit(
         corner,
         order,
         initial_interval,
-    )
+        0,
+        0.0,
+        1.0,
+        0.0,
+        False,
+    )[0]
 
 
 @njit(**_JIT_OPTIONS)
@@ -499,53 +460,14 @@ def hysteresis_crossings_batch(v, hysteresis):
     ]
 
 
-def fine_delay_cascade(values, stages, dt):
-    """Fused buffer cascade: numpy preprocessing + jitted slew loops.
-
-    The element-wise stage work (noise add, limiting tanh, comparator
-    band) is cheap array math; the per-sample recurrences run through
-    the jitted single-lane loops, which are line-for-line transcriptions
-    of the reference — so the fused result is bit-exact against the
-    python backend's fused (and per-stage) path.
-    """
-    x = values
-    for stage in stages:
-        v_in = x
-        if stage.noise is not None:
-            v_in = v_in + stage.noise
-        limited = np.tanh(v_in / stage.v_linear)
-        amplitude = stage.amplitude
-        if np.isfinite(stage.corner):
-            floor = np.minimum(amplitude, stage.amplitude_min)
-            extra = amplitude - floor
-            swing = np.percentile(v_in, 98) - np.percentile(v_in, 2)
-            hysteresis = 0.3 * (swing / 2.0)
-            slewed = _compressive_slew_limit(
-                np.ascontiguousarray(v_in),
-                np.ascontiguousarray(floor * limited),
-                np.ascontiguousarray(extra * limited),
-                stage.max_step,
-                dt,
-                float(hysteresis),
-                stage.corner,
-                stage.order,
-                typical_crossing_interval(v_in, dt),
-            )
-        else:
-            target = np.ascontiguousarray(amplitude * limited)
-            slewed = _slew_limit(target, stage.max_step, float(target[0]))
-        zi = stage.zi_unit * slewed[0]
-        x, _ = _scipy_signal.lfilter(stage.b, stage.a, slewed, zi=zi)
-    return x
-
-
 def fine_delay_cascade_stream(values, stages, dt, states):
     """Fused cascade over one chunk, with carried per-stage state.
 
-    Same structure as :func:`fine_delay_cascade` with the slew
-    recurrences routed through the jitted carry loop — a line-for-line
-    transcription of the reference carry kernel, so streaming through
-    this backend is bit-exact against the python backend's stream.
+    The element-wise stage work (noise add, limiting tanh, comparator
+    band) is cheap array math; the slew recurrences run through the
+    jitted carry loop — a line-for-line transcription of the reference
+    carry kernel, so streaming through this backend is bit-exact
+    against the python backend's stream.
     """
     x = values
     for stage, carry in zip(stages, states):

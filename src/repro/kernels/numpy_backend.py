@@ -40,7 +40,6 @@ __all__ = [
     "compressive_slew_limit_batch",
     "match_edges_batch",
     "hysteresis_crossings_batch",
-    "fine_delay_cascade",
     "fine_delay_cascade_batch",
     "fine_delay_cascade_stream",
 ]
@@ -135,86 +134,6 @@ def slew_limit(
     return out
 
 
-def _compressive_target(
-    v_in: np.ndarray,
-    target_floor: np.ndarray,
-    target_extra: np.ndarray,
-    dt: float,
-    hysteresis: float,
-    corner: float,
-    order: int,
-    initial_interval: float,
-) -> "tuple[np.ndarray, float, int]":
-    """Per-sample slew target, initial level and flip count of one lane.
-
-    The comparator flips are pure functions of *v_in* and the
-    hysteresis band, so the per-half-cycle excursion scales can be
-    computed for all flips at once and expanded to a per-sample target
-    with :func:`numpy.repeat`.  Shared by the single-lane kernel and
-    the batched kernel (which stacks these per-lane targets, so the
-    two paths feed bit-identical targets to their slew stages).  The
-    flip count feeds the fused cascade's walk-vs-relax cost model.
-    """
-    n = len(target_extra)
-    tri = np.zeros(n, dtype=np.int8)
-    tri[v_in > hysteresis] = 1
-    tri[v_in < -hysteresis] = -1
-    first_state = 1 if v_in[0] > 0.0 else -1
-    # Forward-fill undecided samples with the last decided state,
-    # seeding the fill with the initial comparator state.
-    prefixed = np.empty(n + 1, dtype=np.int8)
-    prefixed[0] = first_state
-    prefixed[1:] = tri
-    fill_index = np.zeros(n + 1, dtype=np.int64)
-    decided = np.flatnonzero(prefixed)
-    fill_index[decided] = decided
-    fill_index = np.maximum.accumulate(fill_index)
-    filled = prefixed[fill_index]
-    flips = np.flatnonzero(filled[1:] != filled[:-1])  # sample indices
-    target, y0 = _scaled_target(
-        flips,
-        target_floor,
-        target_extra,
-        dt,
-        corner,
-        order,
-        initial_interval,
-    )
-    return target, y0, int(flips.size)
-
-
-def _scaled_target(
-    flips: np.ndarray,
-    target_floor: np.ndarray,
-    target_extra: np.ndarray,
-    dt: float,
-    corner: float,
-    order: int,
-    initial_interval: float,
-) -> "tuple[np.ndarray, float]":
-    """Expand comparator flips into the per-sample compressed target."""
-    n = len(target_extra)
-    inv_2corner = 1.0 / (2.0 * corner)
-    scale0 = 1.0 / (1.0 + (inv_2corner / initial_interval) ** order)
-    if flips.size == 0:
-        scale = np.full(n, scale0)
-    else:
-        # Interval preceding each flip: from the previous flip (or from
-        # ``initial_interval`` before the record began, for the first).
-        elapsed = np.empty(flips.size)
-        elapsed[0] = initial_interval + flips[0] * dt
-        elapsed[1:] = np.diff(flips) * dt
-        flip_scales = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
-        lengths = np.empty(flips.size + 1, dtype=np.int64)
-        lengths[0] = flips[0]
-        lengths[1:-1] = np.diff(flips)
-        lengths[-1] = n - flips[-1]
-        scale = np.repeat(np.concatenate([[scale0], flip_scales]), lengths)
-    target = target_floor + scale * target_extra
-    y0 = float(target_floor[0]) + scale0 * float(target_extra[0])
-    return target, y0
-
-
 def _compressive_target_carry(
     v_in: np.ndarray,
     target_floor: np.ndarray,
@@ -229,13 +148,20 @@ def _compressive_target_carry(
     scale_in: float,
     primed: bool,
 ) -> "tuple[np.ndarray, float, int, int, float, float]":
-    """:func:`_compressive_target` with carried comparator state.
+    """Per-sample slew target, initial level and flip count of one lane.
 
-    Fresh (unprimed) calls reproduce :func:`_compressive_target`
-    bit-for-bit and additionally report the outgoing carry; primed
-    calls seed the forward fill with the carried comparator state, time
-    the first flip from the carried half-cycle age, and hold the carried
-    compression scale until that flip.
+    The comparator flips are pure functions of *v_in* and the
+    hysteresis band, so the per-half-cycle excursion scales can be
+    computed for all flips at once and expanded to a per-sample target
+    with :func:`numpy.repeat`.  The flip count feeds the fused
+    cascade's walk-vs-relax cost model.
+
+    Fresh (unprimed) calls seed the comparator from the first sample
+    and the compression state from *initial_interval*, as if the signal
+    had been toggling at its own rate forever; primed calls seed the
+    forward fill with the carried comparator state, time the first flip
+    from the carried half-cycle age, and hold the carried compression
+    scale until that flip.
 
     The outgoing ``elapsed`` is computed as ``(n - last_flip) * dt``
     rather than by the reference loop's repeated ``+= dt`` — the same
@@ -298,10 +224,11 @@ def compressive_slew_limit(
 ) -> np.ndarray:
     """Vectorised compression comparator feeding the slew limiter.
 
-    The per-sample target comes from :func:`_compressive_target`; the
-    result then runs through the event-vectorised :func:`slew_limit`.
+    The per-sample target comes from an unprimed
+    :func:`_compressive_target_carry`; the result then runs through the
+    event-vectorised :func:`slew_limit`.
     """
-    target, y0, _flips = _compressive_target(
+    target, y0, *_carry = _compressive_target_carry(
         v_in,
         target_floor,
         target_extra,
@@ -310,6 +237,10 @@ def compressive_slew_limit(
         corner,
         order,
         initial_interval,
+        0,
+        0.0,
+        1.0,
+        primed=False,
     )
     return slew_limit(target, max_step, y0)
 
@@ -533,9 +464,9 @@ def compressive_slew_limit_batch(
     single-lane fill), the sparse per-flip scale algebra flattened
     across all lanes' flips, and the slew recurrence as a lane-parallel
     Jacobi relaxation (:func:`_slew_limit_relax`).  Each lane's target
-    is the same quantity :func:`_scaled_target` computes, evaluated
-    with array ops over the pooled flips, so lanes agree with
-    sequential single-lane calls to floating-point rounding.
+    is the same quantity an unprimed :func:`_compressive_target_carry`
+    computes, evaluated with array ops over the pooled flips, so lanes
+    agree with sequential single-lane calls to floating-point rounding.
     """
     n_lanes, n = v_in.shape
     band = hysteresis[:, None]
@@ -643,56 +574,6 @@ def _cascade_slew(
     return slew_limit(target, max_step, y0)
 
 
-def fine_delay_cascade(values: np.ndarray, stages, dt: float) -> np.ndarray:
-    """Fused buffer cascade: the whole N-stage chain in one call.
-
-    Per-stage element-wise work (noise add, limiting tanh) runs in-place
-    in a scratch buffer owned by the kernel; the compressed slew target
-    comes from the shared :func:`_compressive_target` decomposition and
-    is slewed by whichever exact strategy the cost model prefers for the
-    record (:func:`_cascade_slew`); the stage filter uses the plan's
-    precomputed settled state instead of re-solving ``lfilter_zi`` per
-    stage.  Agrees with the per-stage path to floating-point rounding
-    (delay impact far below the 0.01 ps contract).
-    """
-    x = values.copy()
-    scratch = np.empty_like(x)
-    for stage in stages:
-        if stage.noise is not None:
-            np.add(x, stage.noise, out=x)
-        v_in = x
-        np.divide(v_in, stage.v_linear, out=scratch)
-        limited = np.tanh(scratch, out=scratch)
-        amplitude = stage.amplitude
-        if np.isfinite(stage.corner):
-            floor = np.minimum(amplitude, stage.amplitude_min)
-            extra = amplitude - floor
-            upper, lower = np.percentile(v_in, (98.0, 2.0))
-            hysteresis = 0.3 * ((upper - lower) / 2.0)
-            target, y0, n_flips = _compressive_target(
-                v_in,
-                floor * limited,
-                extra * limited,
-                dt,
-                float(hysteresis),
-                stage.corner,
-                stage.order,
-                typical_crossing_interval(v_in, dt),
-            )
-            slewed = _cascade_slew(target, stage.max_step, y0, n_flips)
-        else:
-            target = amplitude * limited
-            sign = np.signbit(target)
-            n_events = int(np.count_nonzero(sign[1:] != sign[:-1]))
-            slewed = _cascade_slew(
-                target, stage.max_step, float(target[0]), n_events
-            )
-        zi = stage.zi_unit * slewed[0]
-        filtered, _ = _scipy_signal.lfilter(stage.b, stage.a, slewed, zi=zi)
-        x = filtered
-    return x
-
-
 def fine_delay_cascade_stream(
     values: np.ndarray, stages, dt: float, states
 ) -> np.ndarray:
@@ -700,13 +581,16 @@ def fine_delay_cascade_stream(
 
     Mirrors the reference streaming semantics (see
     ``python_backend.fine_delay_cascade_stream``) with this backend's
-    vectorised machinery: the carry-aware comparator decomposition
-    (:func:`_compressive_target_carry`), the cost-model slew strategy
-    from the carried tracker level, and ``lfilter`` with the carried
-    filter state.  A single unprimed call agrees with
-    :func:`fine_delay_cascade` bit-for-bit; chunked runs agree with the
-    monolithic path to floating-point rounding (within the 0.01 ps
-    delay contract).
+    vectorised machinery.  Per-stage element-wise work (noise add,
+    limiting tanh) runs in-place in a scratch buffer owned by the
+    kernel; the compressed slew target comes from the carry-aware
+    comparator decomposition (:func:`_compressive_target_carry`) and is
+    slewed from the carried tracker level by whichever exact strategy
+    the cost model prefers (:func:`_cascade_slew`); the stage filter
+    starts from the plan's precomputed settled state, or the carried
+    filter state.  One unprimed call agrees with the per-stage path to
+    floating-point rounding, and chunked runs agree with one
+    whole-record call likewise (within the 0.01 ps delay contract).
     """
     x = values.copy()
     scratch = np.empty_like(x)

@@ -32,7 +32,6 @@ __all__ = [
     "compressive_slew_limit_batch",
     "match_edges_batch",
     "hysteresis_crossings_batch",
-    "fine_delay_cascade",
     "fine_delay_cascade_batch",
     "fine_delay_cascade_stream",
 ]
@@ -70,42 +69,27 @@ def compressive_slew_limit(
     order: int,
     initial_interval: float,
 ) -> np.ndarray:
-    """Slew-limited tracking with per-half-cycle amplitude compression."""
-    n = len(target_extra)
-    out = np.empty(n)
-    v_list = v_in.tolist()
-    floor_list = target_floor.tolist()
-    extra_list = target_extra.tolist()
-    inv_2corner = 1.0 / (2.0 * corner)
-    state = 1 if v_list[0] > 0.0 else -1
-    # The record is a snapshot of a long-running signal: start the
-    # compression state as if the signal had been toggling at its own
-    # rate forever, so the first edges are not artificially "fresh".
-    elapsed = initial_interval
-    scale = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
-    y = float(floor_list[0]) + scale * float(extra_list[0])
-    up = max_step
-    down = -max_step
-    for i in range(n):
-        v = v_list[i]
-        if state > 0:
-            if v < -hysteresis:
-                state = -1
-                scale = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
-                elapsed = 0.0
-        elif v > hysteresis:
-            state = 1
-            scale = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
-            elapsed = 0.0
-        elapsed += dt
-        dv = floor_list[i] + scale * extra_list[i] - y
-        if dv > up:
-            dv = up
-        elif dv < down:
-            dv = down
-        y += dv
-        out[i] = y
-    return out
+    """Slew-limited tracking with per-half-cycle amplitude compression.
+
+    The whole record as one unprimed :func:`compressive_slew_limit_carry`
+    call.
+    """
+    return compressive_slew_limit_carry(
+        v_in,
+        target_floor,
+        target_extra,
+        max_step,
+        dt,
+        hysteresis,
+        corner,
+        order,
+        initial_interval,
+        0,
+        0.0,
+        1.0,
+        0.0,
+        False,
+    )[0]
 
 
 def compressive_slew_limit_carry(
@@ -124,14 +108,17 @@ def compressive_slew_limit_carry(
     y: float,
     primed: bool,
 ) -> "tuple[np.ndarray, int, float, float, float]":
-    """:func:`compressive_slew_limit` with carried recurrence state.
+    """Compressive slew limiting with carried recurrence state.
 
     When *primed* is False the comparator/compression/tracker state is
-    initialised exactly as the monolithic kernel does from this chunk's
-    first sample; when True, (*comp_state*, *elapsed*, *scale*, *y*)
-    continue the loop where the previous chunk stopped.  Running the
-    chunks of a split record through this kernel is therefore bit-exact
-    against one monolithic :func:`compressive_slew_limit` call.
+    initialised from this chunk's first sample: the record is a
+    snapshot of a long-running signal, so the compression state starts
+    as if the signal had been toggling at its own rate
+    (*initial_interval*) forever.  When True, (*comp_state*,
+    *elapsed*, *scale*, *y*) continue the loop where the previous chunk
+    stopped, so running the chunks of a split record through this
+    kernel is bit-exact against one unprimed call over the whole
+    record.
 
     Returns ``(out, comp_state, elapsed, scale, y)``.
     """
@@ -369,48 +356,6 @@ def hysteresis_crossings_batch(v: np.ndarray, hysteresis: np.ndarray) -> list:
     ]
 
 
-def fine_delay_cascade(values: np.ndarray, stages, dt: float) -> np.ndarray:
-    """Reference fused buffer cascade: the per-stage recipe, inlined.
-
-    Runs the whole N-stage chain (noise add -> limiting tanh ->
-    [compressive] slew limit -> one-pole filter) in one call, stage by
-    stage, using this module's own loop kernels.  Every arithmetic step
-    matches :func:`repro.circuits.vga_buffer.limiting_stage` operation
-    for operation — including the two separate percentile calls and the
-    ``float`` narrowing the dispatch wrappers apply — so the fused path
-    is **bit-exact** against the per-stage reference path.
-    """
-    x = values
-    for stage in stages:
-        v_in = x
-        if stage.noise is not None:
-            v_in = v_in + stage.noise
-        limited = np.tanh(v_in / stage.v_linear)
-        amplitude = stage.amplitude
-        if np.isfinite(stage.corner):
-            floor = np.minimum(amplitude, stage.amplitude_min)
-            extra = amplitude - floor
-            swing = np.percentile(v_in, 98) - np.percentile(v_in, 2)
-            hysteresis = 0.3 * (swing / 2.0)
-            slewed = compressive_slew_limit(
-                v_in,
-                np.broadcast_to(floor * limited, limited.shape),
-                np.broadcast_to(extra * limited, limited.shape),
-                stage.max_step,
-                dt,
-                float(hysteresis),
-                stage.corner,
-                stage.order,
-                typical_crossing_interval(v_in, dt),
-            )
-        else:
-            target = amplitude * limited
-            slewed = slew_limit(target, stage.max_step, float(target[0]))
-        zi = stage.zi_unit * slewed[0]
-        x, _ = _scipy_signal.lfilter(stage.b, stage.a, slewed, zi=zi)
-    return x
-
-
 def fine_delay_cascade_stream(
     values: np.ndarray, stages, dt: float, states
 ) -> np.ndarray:
@@ -418,13 +363,17 @@ def fine_delay_cascade_stream(
 
     *states* is one :class:`~repro.kernels.cascade.CascadeStageState`
     per stage, mutated in place.  An unprimed state performs the exact
-    monolithic initialisation from this chunk (percentile hysteresis,
+    whole-record initialisation from this chunk (percentile hysteresis,
     crossing-interval seeding, first-sample tracker and filter state);
     a primed state continues the recurrences across the chunk boundary.
-    A single call on unprimed states is therefore bit-exact against
-    :func:`fine_delay_cascade`, and chunked calls are bit-exact against
-    the monolithic run whenever the frozen statistics match (see
-    ``repro.core.streaming`` for how the priming pass arranges that).
+    Every arithmetic step matches
+    :func:`repro.circuits.vga_buffer.limiting_stage` operation for
+    operation — including the two separate percentile calls and the
+    ``float`` narrowing the dispatch wrappers apply — so one call on
+    unprimed states is **bit-exact** against the per-stage chain, and
+    chunked calls are bit-exact against one whole-record call whenever
+    the frozen statistics match (see ``repro.core.streaming`` for how
+    the priming pass arranges that).
     """
     x = values
     for stage, carry in zip(stages, states):

@@ -19,7 +19,7 @@ from repro.campaign import (
     expand_points,
     run_campaign,
 )
-from repro.campaign import packing, runner
+from repro.campaign import runner
 from repro.campaign.packing import (
     AUTO_LANES,
     plan_packs,
@@ -130,21 +130,11 @@ class TestValidateBatchLanes:
             run_campaign(tiny_spec(), jobs=1, batch_lanes=0)
 
     def test_resolve_explicit_int_passes_through(self):
-        expected = 4 if packing.fusion_enabled() else 1
-        assert resolve_batch_lanes(4) == expected
+        assert resolve_batch_lanes(4) == 4
 
     def test_resolve_auto_matches_backend_table(self):
-        expected = (
-            AUTO_LANES.get(active_backend(), 1)
-            if packing.fusion_enabled()
-            else 1
-        )
+        expected = AUTO_LANES.get(active_backend(), 1)
         assert resolve_batch_lanes("auto") == expected
-
-    def test_resolve_is_scalar_without_fusion(self, monkeypatch):
-        monkeypatch.setattr(packing, "fusion_enabled", lambda: False)
-        assert resolve_batch_lanes(64) == 1
-        assert resolve_batch_lanes("auto") == 1
 
     def test_unknown_scenario_error_lists_packable(self):
         point = expand_points(tiny_spec())[0]

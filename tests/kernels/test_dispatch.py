@@ -1,13 +1,10 @@
 """Backend selection and dispatch behaviour of repro.kernels."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro import instrument, kernels
 from repro.errors import CircuitError, KernelError
-from repro.kernels import xp as xp_shim
 
 
 @pytest.fixture(autouse=True)
@@ -94,12 +91,22 @@ class TestUnknownEnvValue:
         message = str(excinfo.value)
         assert "REPRO_KERNELS" in message
         assert "'cuda'" in message
-        for name in ("python", "numpy", "numba", "gpu", "auto"):
+        for name in ("python", "numpy", "numba", "auto"):
             assert name in message
 
-    def test_set_backend_unknown_name_lists_gpu(self):
-        with pytest.raises(KernelError, match="gpu"):
-            kernels.set_backend("fortran")
+    def test_gpu_is_not_a_backend(self, monkeypatch):
+        # There is no device backend: asking for one fails loudly, by
+        # name and through the environment alike.
+        with pytest.raises(KernelError) as by_name:
+            kernels.set_backend("gpu")
+        monkeypatch.setenv("REPRO_KERNELS", "gpu")
+        with pytest.raises(KernelError) as by_env:
+            kernels.reset_backend()
+        for excinfo in (by_name, by_env):
+            message = str(excinfo.value)
+            assert "'gpu'" in message
+            for name in ("python", "numpy", "numba", "auto"):
+                assert name in message
 
     @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
     def test_known_but_unavailable_still_degrades(self, monkeypatch):
@@ -111,7 +118,7 @@ class TestUnknownEnvValue:
 
 
 class TestFallbackChains:
-    """numba-absent -> numpy and cupy-absent -> gpu-emulate chains."""
+    """The numba-absent -> numpy chain."""
 
     @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
     def test_numba_absent_env_chain_lands_on_numpy_with_counter(
@@ -125,53 +132,6 @@ class TestFallbackChains:
             counters = registry.snapshot()["counters"]
         assert counters["kernels.backend.numpy.calls"] == 1
         assert "kernels.backend.numba.calls" not in counters
-
-    @pytest.mark.skipif(
-        xp_shim.device_available(), reason="a CUDA device is present"
-    )
-    def test_cupy_absent_gpu_selects_with_emulate_warning_and_counter(self):
-        # The gpu backend never falls through to another backend name --
-        # emulation *is* the fallback: the same module runs on numpy.
-        xp_shim.reset()
-        try:
-            with pytest.warns(RuntimeWarning, match="emulate"):
-                assert kernels.set_backend("gpu") == "gpu"
-            xp_mod, chosen = xp_shim.resolve()
-            assert chosen == "emulate"
-            assert xp_mod is np
-            with instrument.enabled_scope(reset=True) as registry:
-                kernels.slew_limit(np.zeros(8), max_step=0.1)
-                counters = registry.snapshot()["counters"]
-            assert counters["kernels.backend.gpu.calls"] == 1
-        finally:
-            xp_shim.resolve()  # leave the shim committed, warning spent
-
-    @pytest.mark.skipif(
-        xp_shim.device_available(), reason="a CUDA device is present"
-    )
-    def test_emulate_warning_is_one_time(self):
-        xp_shim.reset()
-        with pytest.warns(RuntimeWarning):
-            kernels.set_backend("gpu")
-        # Re-selecting gpu must not warn again.
-        kernels.set_backend("numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert kernels.set_backend("gpu") == "gpu"
-            kernels.slew_limit(np.zeros(4), max_step=1.0)
-
-    @pytest.mark.skipif(
-        xp_shim.device_available(), reason="a CUDA device is present"
-    )
-    def test_gpu_env_selection_emulates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "gpu")
-        xp_shim.reset()
-        try:
-            with pytest.warns(RuntimeWarning, match="emulate"):
-                assert kernels.reset_backend() == "gpu"
-            assert kernels.active_backend() == "gpu"
-        finally:
-            xp_shim.resolve()
 
 
 class TestWrapperValidation:

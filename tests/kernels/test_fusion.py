@@ -1,17 +1,17 @@
-"""Fused-vs-unfused cascade equivalence: the fusion contract.
+"""Fused-vs-per-stage cascade equivalence: the fusion contract.
 
 Contract (see DESIGN.md §"Pipeline fusion"):
 
 * On the **python** backend the fused cascade is **bit-exact** against
-  the per-stage path — identical samples, identical time axes, for
-  scalar and batch records, static and time-varying (jitter-injection)
-  control, any stage count.
+  the per-stage chain — each stage's ``process`` followed by the output
+  stage's — identical samples, identical time axes, for scalar and
+  batch records, static and time-varying (jitter-injection) control,
+  any stage count.
 * On **numpy** (and **numba**, when installed) the fused path must land
-  within 0.01 ps of the per-stage path's measured delay.  (Empirically
+  within 0.01 ps of the per-stage chain's measured delay.  (Empirically
   both are bit-exact here too, but only the delay bound is contractual.)
-* The ``REPRO_FUSION`` switch selects the path, and the
-  ``fine_delay.fused_calls`` / ``fine_delay.unfused_calls`` counters
-  prove which one ran.
+* The ``fine_delay.fused_calls`` counter and the
+  ``kernels.fine_delay_cascade`` op counters show the fused kernel ran.
 """
 
 import numpy as np
@@ -20,13 +20,7 @@ import pytest
 from repro import instrument, kernels
 from repro.analysis import measure_delay
 from repro.core import FineDelayLine, calibration_stimulus
-from repro.kernels import numba_backend, python_backend
-from repro.kernels.cascade import (
-    fusion_enabled,
-    reset_fusion,
-    set_fusion,
-    use_fusion,
-)
+from repro.kernels import fresh_cascade_state, numba_backend, python_backend
 from repro.signals.waveform import Waveform, WaveformBatch
 
 DELAY_TOLERANCE = 0.01e-12
@@ -36,39 +30,51 @@ STAGE_COUNTS = (1, 2, 3, 4, 5)
 
 
 @pytest.fixture(autouse=True)
-def _restore_backend_and_fusion():
+def _restore_backend():
     backend = kernels.active_backend()
-    fusion = fusion_enabled()
     yield
     kernels.set_backend(backend)
-    set_fusion(fusion)
 
 
 def _stimulus(n_bits=63, dt=1e-12):
     return calibration_stimulus(n_bits=n_bits, dt=dt)
 
 
+def per_stage(line, waveform, rng=None):
+    """The per-stage reference: chain every stage's own ``process``."""
+    result = waveform
+    for stage in line.stages:
+        result = stage.process(result, rng)
+    return line.output_stage.process(result, rng)
+
+
+def per_stage_batch(line, batch, rngs, vctrls=None):
+    """Batched per-stage reference, lane ``i`` drawing from ``rngs[i]``."""
+    result = batch
+    for stage in line.stages:
+        result = stage.process_batch(result, rngs, vctrl=vctrls)
+    return line.output_stage.process_batch(result, rngs)
+
+
 def _fused_and_unfused(line_seed, waveform, n_stages, rng_seed=None,
                        vctrl=None):
-    """Run identical lines through both paths; return both outputs."""
+    """Run identical lines through the fused and the per-stage paths."""
     outputs = []
-    for enabled in (True, False):
+    for run in (FineDelayLine.process, per_stage):
         line = FineDelayLine(n_stages=n_stages, seed=line_seed)
         if vctrl is not None:
             line.vctrl = vctrl
         rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-        with use_fusion(enabled):
-            outputs.append(line.process(waveform, rng))
+        outputs.append(run(line, waveform, rng))
     return outputs
 
 
 def _fused_and_unfused_batch(line_seed, batch, n_stages, vctrls=None):
     outputs = []
-    for enabled in (True, False):
+    for run in (FineDelayLine.process_batch, per_stage_batch):
         line = FineDelayLine(n_stages=n_stages, seed=line_seed)
         rngs = [np.random.default_rng(100 + i) for i in range(batch.n_lanes)]
-        with use_fusion(enabled):
-            outputs.append(line.process_batch(batch, rngs, vctrls=vctrls))
+        outputs.append(run(line, batch, rngs, vctrls))
     return outputs
 
 
@@ -182,8 +188,12 @@ def test_numba_module_bit_exact_against_python():
 
     stages_a, _ = plan(42, 9)
     stages_b, _ = plan(42, 9)
-    out_py = python_backend.fine_delay_cascade(samples, stages_a, stimulus.dt)
-    out_nb = numba_backend.fine_delay_cascade(samples, stages_b, stimulus.dt)
+    out_py = python_backend.fine_delay_cascade_stream(
+        samples, stages_a, stimulus.dt, fresh_cascade_state(len(stages_a))
+    )
+    out_nb = numba_backend.fine_delay_cascade_stream(
+        samples, stages_b, stimulus.dt, fresh_cascade_state(len(stages_b))
+    )
     assert np.array_equal(out_py, out_nb)
 
 
@@ -208,42 +218,32 @@ def test_numba_module_batch_bit_exact_against_python():
     assert np.array_equal(out_py, out_nb)
 
 
-# -- the switch and its observability ---------------------------------------
-
-
-def test_env_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_FUSION", "off")
-    assert reset_fusion() is False
-    monkeypatch.setenv("REPRO_FUSION", "on")
-    assert reset_fusion() is True
-    monkeypatch.delenv("REPRO_FUSION")
-    assert reset_fusion() is True  # default on
-
-
-def test_env_switch_unrecognised_value_warns(monkeypatch):
-    monkeypatch.setenv("REPRO_FUSION", "sideways")
-    with pytest.warns(RuntimeWarning):
-        assert reset_fusion() is True
-
-
-def test_counters_distinguish_fused_from_unfused():
-    stimulus = _stimulus(n_bits=16)
-    line = FineDelayLine(n_stages=2, seed=0)
-    with instrument.enabled_scope(reset=True) as registry:
-        with use_fusion(True):
-            line.process(stimulus, np.random.default_rng(0))
-        with use_fusion(False):
-            line.process(stimulus, np.random.default_rng(0))
-        counters = registry.snapshot()["counters"]
-    assert counters["fine_delay.fused_calls"] == 1
-    assert counters["fine_delay.unfused_calls"] == 1
+# -- observability ----------------------------------------------------------
 
 
 def test_fused_path_records_cascade_kernel_op():
     stimulus = _stimulus(n_bits=16)
     line = FineDelayLine(n_stages=2, seed=0)
     with instrument.enabled_scope(reset=True) as registry:
-        with use_fusion(True):
-            line.process(stimulus, np.random.default_rng(0))
+        line.process(stimulus, np.random.default_rng(0))
+        line.process(stimulus, np.random.default_rng(0))
         counters = registry.snapshot()["counters"]
+    assert counters["fine_delay.fused_calls"] == 2
     assert counters.get("kernels.fine_delay_cascade.calls", 0) >= 1
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_cascade_entry_counts_as_its_own_op(backend):
+    """``kernels.fine_delay_cascade`` runs the stream kernel on fresh
+    state but records only its own op counters, which the benchmark
+    layer reads by name."""
+    kernels.set_backend(backend)
+    stimulus = _stimulus(n_bits=16)
+    stages, _ = FineDelayLine(n_stages=2, seed=0)._cascade_plan(
+        stimulus, np.random.default_rng(0)
+    )
+    with instrument.enabled_scope(reset=True) as registry:
+        kernels.fine_delay_cascade(stimulus.values, stages, stimulus.dt)
+        counters = registry.snapshot()["counters"]
+    assert counters["kernels.fine_delay_cascade.calls"] == 1
+    assert "kernels.fine_delay_cascade_stream.calls" not in counters

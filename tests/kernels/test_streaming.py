@@ -24,13 +24,10 @@ from repro.analysis import measure_delay
 from repro.core import FineDelayLine, StreamProcessor, calibration_stimulus
 from repro.errors import CircuitError, WaveformError
 from repro.kernels import python_backend
-from repro.kernels.cascade import (
-    fresh_cascade_state,
-    fusion_enabled,
-    set_fusion,
-    use_fusion,
-)
+from repro.kernels.cascade import fresh_cascade_state
 from repro.signals.waveform import Waveform
+
+from .test_fusion import per_stage
 
 DELAY_TOLERANCE = 0.01e-12
 
@@ -79,12 +76,10 @@ def _streamed(line, waveform, fractions, prime=True, rng=None):
 
 
 @pytest.fixture(autouse=True)
-def _restore_backend_and_fusion():
+def _restore_backend():
     backend = kernels.active_backend()
-    fusion = fusion_enabled()
     yield
     kernels.set_backend(backend)
-    set_fusion(fusion)
 
 
 # -- the equivalence contract ------------------------------------------------
@@ -226,16 +221,14 @@ def test_jitter_injection_vctrl_waveform_streams_exactly():
 
 
 def test_stream_matches_both_fusion_settings():
-    """The monolithic reference is the same with fusion on or off, so
-    the stream agrees with both."""
+    """The monolithic reference is the same fused or chained stage by
+    stage, so the stream agrees with both."""
     kernels.set_backend("python")
     stimulus = _stimulus()
-    refs = []
-    for enabled in (True, False):
-        with use_fusion(enabled):
-            refs.append(
-                FineDelayLine(n_stages=2, seed=21).process(stimulus)
-            )
+    refs = [
+        FineDelayLine(n_stages=2, seed=21).process(stimulus),
+        per_stage(FineDelayLine(n_stages=2, seed=21), stimulus),
+    ]
     line = FineDelayLine(n_stages=2, seed=21)
     streamed, _ = _streamed(line, stimulus, SPLITS["halves"])
     for ref in refs:
@@ -247,22 +240,22 @@ def test_stream_matches_both_fusion_settings():
 
 def test_stream_kernel_single_call_equals_cascade_kernel():
     """``fine_delay_cascade_stream`` on fresh state over the whole
-    record is the plain fused cascade."""
+    record is the whole cascade: bit-exact against the per-stage chain
+    fed the same generator."""
     stimulus = _stimulus()
     line = FineDelayLine(n_stages=3, seed=2)
-    stages_a, _ = line._cascade_plan(stimulus, np.random.default_rng(4))
-    line_b = FineDelayLine(n_stages=3, seed=2)
-    stages_b, _ = line_b._cascade_plan(stimulus, np.random.default_rng(4))
-    out_plain = python_backend.fine_delay_cascade(
-        stimulus.values, stages_a, stimulus.dt
-    )
+    stages, _ = line._cascade_plan(stimulus, np.random.default_rng(4))
     out_stream = python_backend.fine_delay_cascade_stream(
         stimulus.values,
-        stages_b,
+        stages,
         stimulus.dt,
-        fresh_cascade_state(len(stages_b)),
+        fresh_cascade_state(len(stages)),
     )
-    assert np.array_equal(out_plain, out_stream)
+    kernels.set_backend("python")
+    chained = per_stage(
+        FineDelayLine(n_stages=3, seed=2), stimulus, np.random.default_rng(4)
+    )
+    assert np.array_equal(out_stream, chained.values)
 
 
 def test_stream_kernel_dispatch_rejects_state_mismatch():
