@@ -13,8 +13,8 @@ Packing is a pure scheduling transform: every lane keeps its own
 per-point seed stream, so packed metrics are bit-for-bit identical to
 scalar evaluation on the python kernel backend and within the 0.01 ps
 delay contract on the vectorised backends.  Points that cannot pack —
-unknown scenarios, structural mismatches, leftovers — fall back to
-scalar evaluation, never to an error.
+scenarios that never pack (deskew), structural mismatches, leftovers —
+run alone as packs of one, never as an error.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ def plan_packs(
     deterministic.  ``key_of`` returns a point's compatibility key
     (``None`` marks it unpackable — it becomes its own singleton
     unit); ``weight_of`` returns how many kernel lanes the point
-    occupies (a deskew point weighs its channel count).  An open pack
+    occupies (the campaign runner weighs every point 1: a packable
+    point is one lane).  An open pack
     closes when the next same-key point would push its weight past
     *lanes*; a later same-key point then opens a fresh pack, so
     leftovers simply form smaller packs (or singletons), never errors.

@@ -32,7 +32,15 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
@@ -58,7 +66,12 @@ from ..signals.waveform import WaveformBatch
 from ..analysis.measurements import peak_to_peak_jitter
 from .cache import ResultCache
 from .packing import plan_packs, resolve_batch_lanes
-from .spec import CampaignPoint, CampaignSpec, expand_points
+from .spec import (
+    PACK_STRUCTURAL_PARAMS,
+    CampaignPoint,
+    CampaignSpec,
+    expand_points,
+)
 
 __all__ = [
     "CampaignResult",
@@ -123,202 +136,16 @@ def _resolve_params(point: CampaignPoint, defaults: Dict[str, object]) -> dict:
     return params
 
 
-def _evaluate_range(point: CampaignPoint) -> dict:
-    """Calibrated total range (and added jitter) of one device instance."""
-    params = _resolve_params(point, _RANGE_DEFAULTS)
-    children = np.random.SeedSequence(point.seed()).spawn(3)
-    variation = point.variation.draw(
-        children[0], temperature_c=float(params["temperature_c"])
-    )
-    buffer_params = variation.buffer_params(FOUR_STAGE_BUFFER)
-    line = CombinedDelayLine(
-        seed=int(children[1].generate_state(1)[0]),
-        buffer_params=buffer_params,
-        tap_errors=variation.tap_errors(COARSE_TAP_ERRORS),
-        n_stages=params["n_stages"],
-    )
-    stimulus = calibration_stimulus(
-        bit_rate=float(params["bit_rate"]),
-        n_bits=params["n_bits"],
-        dt=float(params["dt"]),
-        rise_time=variation.rise_time(SOURCE_RISE_TIME),
-    )
-    solver = line.calibrate(stimulus=stimulus, n_points=params["n_points"])
-    metrics: Dict[str, object] = {
-        "total_range_s": float(solver.total_range),
-        "fine_range_s": float(solver.fine_table.range),
-        "variation": variation.summary(),
-    }
-    if params["measure_jitter"]:
-        # Added jitter at mid delay, fig12-style: clean PRBS in, total
-        # peak-to-peak jitter out minus the (near-zero) input residue.
-        ui = 1.0 / float(params["bit_rate"])
-        n_bits = max(
-            params["n_bits"], int(np.ceil(2 * WARMUP_TIME / ui)) + 16
-        )
-        pattern = synthesize_nrz(
-            prbs_sequence(7, n_bits),
-            float(params["bit_rate"]),
-            float(params["dt"]),
-            rise_time=variation.rise_time(SOURCE_RISE_TIME),
-        )
-        line.set_delay(0.5 * solver.total_range)
-        rng = np.random.default_rng(children[2])
-        out = line.process(pattern, rng)
-        tj_in = peak_to_peak_jitter(steady_state(pattern), ui)
-        tj_out = peak_to_peak_jitter(steady_state(out), ui)
-        metrics["added_jitter_s"] = float(tj_out - tj_in)
-    return metrics
+def _evaluate_range(points: Sequence[CampaignPoint]) -> List[dict]:
+    """Calibrated total range (and added jitter) of each device instance.
 
-
-def _evaluate_deskew(point: CampaignPoint) -> dict:
-    """Deskew one bus of varied device instances; report the residual."""
-    params = _resolve_params(point, _DESKEW_DEFAULTS)
-    n_channels = params["n_channels"]
-    if params["measurement"] not in ("waveform", "event"):
-        raise CampaignError(
-            "deskew 'measurement' must be 'waveform' or 'event': "
-            f"{params['measurement']!r}"
-        )
-    children = np.random.SeedSequence(point.seed()).spawn(n_channels + 2)
-    temperature = float(params["temperature_c"])
-    variations = [
-        point.variation.draw(children[2 + i], temperature_c=temperature)
-        for i in range(n_channels)
-    ]
-    bus = ParallelBus(
-        n_channels=n_channels,
-        bit_rate=float(params["bit_rate"]),
-        skew_spread=float(params["skew_spread"]),
-        seed=int(children[0].generate_state(1)[0]),
-        buffer_params=[
-            v.buffer_params(FOUR_STAGE_BUFFER) for v in variations
-        ],
-        tap_errors=[v.tap_errors(COARSE_TAP_ERRORS) for v in variations],
-        rise_times=[v.rise_time(SOURCE_RISE_TIME) for v in variations],
-    )
-    stimulus = calibration_stimulus(
-        n_bits=params["n_bits"], dt=float(params["dt"])
-    )
-    bus.calibrate_delay_lines(
-        stimulus=stimulus, n_points=params["n_cal_points"]
-    )
-    controller = DeskewController(
-        bus,
-        tolerance=float(params["tolerance"]),
-        max_iterations=params["max_iterations"],
-        dt=float(params["dt"]),
-        n_bits=params["n_bits"],
-        measurement=params["measurement"],
-    )
-    report = controller.deskew(np.random.default_rng(children[1]))
-    return {
-        "initial_spread_s": float(report.initial_spread),
-        "final_spread_s": float(report.final_spread),
-        "converged": bool(report.converged),
-        "iterations": int(report.iterations),
-        # The paper's range requirement applied to the weakest channel.
-        "total_range_s": float(
-            min(line.total_range for line in bus.delay_lines)
-        ),
-        "variation": [v.summary() for v in variations],
-    }
-
-
-_EVALUATORS: Dict[str, Callable[[CampaignPoint], dict]] = {
-    "range": _evaluate_range,
-    "deskew": _evaluate_deskew,
-}
-
-
-def evaluate_point(point: CampaignPoint) -> dict:
-    """Evaluate one campaign point; returns a JSON-friendly metrics dict.
-
-    Deterministic: the result is a pure function of the point's
-    identity (its seed derives from it), so any worker, any schedule,
-    and any ``--jobs`` width produce bit-for-bit the same metrics.
-    """
-    evaluator = _EVALUATORS.get(point.scenario)
-    if evaluator is None:
-        raise CampaignError(
-            f"unknown scenario {point.scenario!r}; known: "
-            f"{sorted(_EVALUATORS)} "
-            f"(lane-packable: {sorted(_PACK_EVALUATORS)})"
-        )
-    instrument.count("campaign.points.evaluated")
-    # The scenario span splits a point's wall-clock out by evaluator
-    # ("campaign.point/range", "campaign.point/deskew", ...), so a
-    # --metrics-json manifest attributes time to evaluation, distinct
-    # from the runner's cache_lookup and ipc.decode spans.
-    with instrument.span(point.scenario):
-        return evaluator(point)
-
-
-def _evaluate_for_pool(point: CampaignPoint, collect: bool):
-    """Worker-side wrapper: shared instrumented point runner.
-
-    The result crosses the process boundary shm-encoded: metrics dicts
-    are scalars (tokens change nothing), but any payload that carries
-    waveforms or large arrays moves its samples through shared memory
-    instead of the result pickle.
-    """
-    metrics, duration, snapshot = call_instrumented(
-        evaluate_point, point, collect=collect, span="campaign.point"
-    )
-    return parallel.encode_payload((metrics, duration, snapshot))
-
-
-# -- lane-packed evaluation -------------------------------------------------
-
-
-class PackPointFailure(CampaignError):
-    """One lane of a pack failed; ``index`` names the failing point.
-
-    Packs evaluate many points per call, so a bare exception could not
-    say *which* point broke.  Constructed as ``(message, index)`` so
-    the instance survives the process-pool pickle round-trip with both
-    attributes intact.
-    """
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message, index)
-        self.message = message
-        self.index = index
-
-    def __str__(self) -> str:
-        return self.message
-
-
-def _pack_key(point: CampaignPoint) -> Optional[str]:
-    """The point's lane-packing compatibility key (None: unpackable)."""
-    defaults = _PACK_DEFAULTS.get(point.scenario)
-    if defaults is None or point.scenario not in _PACK_EVALUATORS:
-        return None
-    try:
-        resolved = _resolve_params(point, defaults)
-    except CampaignError:
-        # Let the scalar path raise the precise parameter error.
-        return None
-    return point.pack_key(resolved)
-
-
-def _pack_weight(point: CampaignPoint) -> int:
-    """Kernel lanes the point occupies in a pack (deskew: its bus width)."""
-    if point.scenario == "deskew":
-        return _resolve_params(point, _DESKEW_DEFAULTS)["n_channels"]
-    return 1
-
-
-def _evaluate_range_pack(points: Sequence[CampaignPoint]) -> List[dict]:
-    """The ``range`` evaluator over a pack: one fused pass per phase.
-
-    Phase A builds every lane's device instance exactly as the scalar
-    evaluator does (same seed spawns, same variation draws); phase B
-    runs all calibrations as one fused sweep
+    One fused pass per phase over the whole pack: phase A builds every
+    lane's device instance from its own seed spawns and variation
+    draws; phase B runs all calibrations as one fused sweep
     (:func:`repro.core.combined.calibrate_lines_pack`); phase C renders
     every lane's mid-delay PRBS run as one fused pass.  Lane ``i``'s
-    metrics are therefore the scalar evaluator's metrics for
-    ``points[i]`` — bit-exactly on the python kernel backend.
+    metrics are those of ``points[i]`` evaluated alone — bit-exactly on
+    the python kernel backend.
     """
     resolved = [_resolve_params(p, _RANGE_DEFAULTS) for p in points]
     lines: List[CombinedDelayLine] = []
@@ -360,6 +187,8 @@ def _evaluate_range_pack(points: Sequence[CampaignPoint]) -> List[dict]:
         for solver, variation in zip(solvers, variations)
     ]
     if resolved[0]["measure_jitter"]:
+        # Added jitter at mid delay, fig12-style: clean PRBS in, total
+        # peak-to-peak jitter out minus the (near-zero) input residue.
         # All structural parameters agree across the pack, so the
         # PRBS grid is shared; only the rise time varies per lane.
         params0 = resolved[0]
@@ -392,19 +221,16 @@ def _evaluate_range_pack(points: Sequence[CampaignPoint]) -> List[dict]:
     return results
 
 
-def _evaluate_deskew_pack(points: Sequence[CampaignPoint]) -> List[dict]:
-    """The ``deskew`` evaluator over a pack: calibrate all buses fused.
+def _evaluate_deskew(points: Sequence[CampaignPoint]) -> List[dict]:
+    """Deskew one bus of varied device instances per point; report the
+    residual.
 
-    Calibration dominates a deskew point's cost (``n_channels`` lines,
-    each swept over ``n_cal_points``), so phase B flattens every
-    point's bus into one line pack.  The deskew iteration itself stays
-    per point (phase C) — it is adaptive and event-mode-cheap.
+    Points run one at a time: fusing several buses' calibrations into
+    one lane pack measured slower on numpy than this loop.
     """
-    resolved = [_resolve_params(p, _DESKEW_DEFAULTS) for p in points]
-    buses = []
-    spawned = []
-    variations_list = []
-    for point, params in zip(points, resolved):
+    results: List[dict] = []
+    for point in points:
+        params = _resolve_params(point, _DESKEW_DEFAULTS)
         n_channels = params["n_channels"]
         if params["measurement"] not in ("waveform", "event"):
             raise CampaignError(
@@ -416,44 +242,28 @@ def _evaluate_deskew_pack(points: Sequence[CampaignPoint]) -> List[dict]:
         )
         temperature = float(params["temperature_c"])
         variations = [
-            point.variation.draw(
-                children[2 + i], temperature_c=temperature
-            )
+            point.variation.draw(children[2 + i], temperature_c=temperature)
             for i in range(n_channels)
         ]
-        buses.append(
-            ParallelBus(
-                n_channels=n_channels,
-                bit_rate=float(params["bit_rate"]),
-                skew_spread=float(params["skew_spread"]),
-                seed=int(children[0].generate_state(1)[0]),
-                buffer_params=[
-                    v.buffer_params(FOUR_STAGE_BUFFER) for v in variations
-                ],
-                tap_errors=[
-                    v.tap_errors(COARSE_TAP_ERRORS) for v in variations
-                ],
-                rise_times=[
-                    v.rise_time(SOURCE_RISE_TIME) for v in variations
-                ],
-            )
+        bus = ParallelBus(
+            n_channels=n_channels,
+            bit_rate=float(params["bit_rate"]),
+            skew_spread=float(params["skew_spread"]),
+            seed=int(children[0].generate_state(1)[0]),
+            buffer_params=[
+                v.buffer_params(FOUR_STAGE_BUFFER) for v in variations
+            ],
+            tap_errors=[
+                v.tap_errors(COARSE_TAP_ERRORS) for v in variations
+            ],
+            rise_times=[v.rise_time(SOURCE_RISE_TIME) for v in variations],
         )
-        spawned.append(children)
-        variations_list.append(variations)
-    all_lines = [line for bus in buses for line in bus.delay_lines]
-    all_stimuli = []
-    for params in resolved:
         stimulus = calibration_stimulus(
             n_bits=params["n_bits"], dt=float(params["dt"])
         )
-        all_stimuli.extend([stimulus] * params["n_channels"])
-    calibrate_lines_pack(
-        all_lines, all_stimuli, n_points=resolved[0]["n_cal_points"]
-    )
-    results: List[dict] = []
-    for point, params, bus, children, variations in zip(
-        points, resolved, buses, spawned, variations_list
-    ):
+        bus.calibrate_delay_lines(
+            stimulus=stimulus, n_points=params["n_cal_points"]
+        )
         controller = DeskewController(
             bus,
             tolerance=float(params["tolerance"]),
@@ -469,6 +279,8 @@ def _evaluate_deskew_pack(points: Sequence[CampaignPoint]) -> List[dict]:
                 "final_spread_s": float(report.final_spread),
                 "converged": bool(report.converged),
                 "iterations": int(report.iterations),
+                # The paper's range requirement applied to the weakest
+                # channel.
                 "total_range_s": float(
                     min(line.total_range for line in bus.delay_lines)
                 ),
@@ -478,22 +290,56 @@ def _evaluate_deskew_pack(points: Sequence[CampaignPoint]) -> List[dict]:
     return results
 
 
-#: Defaults and pack evaluators per lane-packable scenario.
-_PACK_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "range": _RANGE_DEFAULTS,
-    "deskew": _DESKEW_DEFAULTS,
+class _Scenario(NamedTuple):
+    """A scenario's parameter defaults and its evaluator.
+
+    The evaluator takes a list of points and returns one metrics dict
+    per point; a single point is a pack of one.
+    """
+
+    defaults: Dict[str, object]
+    evaluate: Callable[[Sequence[CampaignPoint]], List[dict]]
+
+
+_EVALUATORS: Dict[str, _Scenario] = {
+    "range": _Scenario(_RANGE_DEFAULTS, _evaluate_range),
+    "deskew": _Scenario(_DESKEW_DEFAULTS, _evaluate_deskew),
 }
 
-_PACK_EVALUATORS: Dict[
-    str, Callable[[Sequence[CampaignPoint]], List[dict]]
-] = {
-    "range": _evaluate_range_pack,
-    "deskew": _evaluate_deskew_pack,
-}
+
+class PackPointFailure(CampaignError):
+    """One lane of a pack failed; ``index`` names the failing point.
+
+    Packs evaluate many points per call, so a bare exception could not
+    say *which* point broke.  Constructed as ``(message, index)`` so
+    the instance survives the process-pool pickle round-trip with both
+    attributes intact.
+    """
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message, index)
+        self.message = message
+        self.index = index
+
+    def __str__(self) -> str:
+        return self.message
 
 
-def _scalar_fallback(points: Sequence[CampaignPoint]) -> List[dict]:
-    """Evaluate a pack's points one by one (the always-correct path)."""
+def _pack_key(point: CampaignPoint) -> Optional[str]:
+    """The point's lane-packing compatibility key (None: unpackable)."""
+    scenario = _EVALUATORS.get(point.scenario)
+    if scenario is None:
+        return None
+    try:
+        resolved = _resolve_params(point, scenario.defaults)
+    except CampaignError:
+        # Let the point's own evaluation raise the precise error.
+        return None
+    return point.pack_key(resolved)
+
+
+def _one_by_one(points: Sequence[CampaignPoint]) -> List[dict]:
+    """Evaluate a pack's points each as a pack of one."""
     results = []
     for point in points:
         try:
@@ -508,34 +354,65 @@ def _scalar_fallback(points: Sequence[CampaignPoint]) -> List[dict]:
 def evaluate_pack(points: Sequence[CampaignPoint]) -> List[dict]:
     """Evaluate a pack of compatible points; one metrics dict per lane.
 
-    ``results[i]`` is exactly what ``evaluate_point(points[i])`` would
-    return — bit-for-bit on the python kernel backend, within the
-    kernel layer's 0.01 ps delay contract elsewhere — the pack merely
-    fuses the kernel work.  A pack that cannot be evaluated fused (or
-    whose fused evaluation fails) falls back to the scalar path; a
-    point that then still fails raises :class:`PackPointFailure`
-    naming the lane, so schedulers can attribute the failure.
+    Deterministic: each result is a pure function of its point's
+    identity (the point's seed derives from it), so any worker, any
+    schedule, any ``--jobs`` width and any pack width produce the same
+    metrics — bit-for-bit on the python kernel backend, within the
+    kernel layer's 0.01 ps delay contract elsewhere; the pack merely
+    fuses the kernel work.  A multi-point pack whose fused evaluation
+    fails is retried one point at a time; a point that then still
+    fails raises :class:`PackPointFailure` naming the lane, so
+    schedulers can attribute the failure.
     """
     points = list(points)
     if not points:
         return []
+    name = points[0].scenario
+    scenario = _EVALUATORS.get(name)
+    if scenario is None:
+        raise CampaignError(
+            f"unknown scenario {name!r}; known: {sorted(_EVALUATORS)} "
+            f"(lane-packable: {sorted(PACK_STRUCTURAL_PARAMS)})"
+        )
+    # The scenario span splits wall-clock out by evaluator
+    # ("campaign.point/range", "campaign.pack/range", ...), so a
+    # --metrics-json manifest attributes time to evaluation, distinct
+    # from the runner's cache_lookup and ipc.decode spans.
     if len(points) == 1:
-        return [evaluate_point(points[0])]
-    evaluator = _PACK_EVALUATORS.get(points[0].scenario)
-    if evaluator is None:
-        return _scalar_fallback(points)
+        instrument.count("campaign.points.evaluated")
+        with instrument.span(name):
+            return scenario.evaluate(points)
     try:
-        with instrument.span(points[0].scenario):
-            results = evaluator(points)
+        with instrument.span(name):
+            results = scenario.evaluate(points)
     except CampaignCancelled:
         raise
     except Exception:
         instrument.count("campaign.pack_fallback_scalar", len(points))
-        return _scalar_fallback(points)
+        return _one_by_one(points)
     instrument.count("campaign.packs.evaluated")
     instrument.count("campaign.pack_lanes", len(points))
     instrument.count("campaign.points.evaluated", len(points))
     return results
+
+
+def evaluate_point(point: CampaignPoint) -> dict:
+    """Evaluate one campaign point: a pack of one (see :func:`evaluate_pack`)."""
+    return evaluate_pack([point])[0]
+
+
+def _evaluate_for_pool(point: CampaignPoint, collect: bool):
+    """Worker-side wrapper: shared instrumented point runner.
+
+    The result crosses the process boundary shm-encoded: metrics dicts
+    are scalars (tokens change nothing), but any payload that carries
+    waveforms or large arrays moves its samples through shared memory
+    instead of the result pickle.
+    """
+    metrics, duration, snapshot = call_instrumented(
+        evaluate_point, point, collect=collect, span="campaign.point"
+    )
+    return parallel.encode_payload((metrics, duration, snapshot))
 
 
 def _evaluate_pack_for_pool(points: Sequence[CampaignPoint], collect: bool):
@@ -852,18 +729,22 @@ def run_campaign(
         if cancelled():
             raise_cancelled(points, metrics, statuses, cached, done, total)
 
-        if lanes > 1 and len(pending) > 1:
+        if lanes > 1:
             keys = {point.index: _pack_key(point) for point in pending}
             units = plan_packs(
-                pending, lanes, lambda p: keys[p.index], _pack_weight
+                pending, lanes, lambda p: keys[p.index], lambda p: 1
             )
-            unpackable = sum(
-                1 for point in pending if keys[point.index] is None
+            # A fallback is a point of a packable scenario that runs
+            # alone (unpackable params, or a leftover); scenarios that
+            # never pack, such as deskew, are not counted.
+            alone = sum(
+                1
+                for unit in units
+                if len(unit) == 1
+                and unit[0].scenario in PACK_STRUCTURAL_PARAMS
             )
-            if unpackable:
-                instrument.count(
-                    "campaign.pack_fallback_scalar", unpackable
-                )
+            if alone:
+                instrument.count("campaign.pack_fallback_scalar", alone)
         else:
             units = [[point] for point in pending]
 

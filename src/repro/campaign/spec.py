@@ -66,12 +66,14 @@ __all__ = [
 #: Scenario names the runner knows how to evaluate.
 SCENARIOS = ("range", "deskew")
 
-#: Per scenario: the resolved parameters that fix a point's *structure*
-#: — time grid, stimulus length, stage/channel counts, measurement
-#: plan.  Points agreeing on all of these can share one fused
-#: multi-lane kernel pass (their remaining parameters only vary
+#: Per lane-packable scenario: the resolved parameters that fix a
+#: point's *structure* — time grid, stimulus length, stage count,
+#: measurement plan.  Points agreeing on all of these can share one
+#: fused multi-lane kernel pass (their remaining parameters only vary
 #: per-lane physics: swept analog values, variation draws, seeds).
 #: Lane packing (:mod:`repro.campaign.packing`) groups points by these.
+#: ``deskew`` is absent: its points always run one at a time, because
+#: packing several buses' calibrations measured slower on numpy.
 PACK_STRUCTURAL_PARAMS = {
     "range": (
         "bit_rate",
@@ -81,7 +83,6 @@ PACK_STRUCTURAL_PARAMS = {
         "n_stages",
         "measure_jitter",
     ),
-    "deskew": ("n_channels", "n_bits", "dt", "n_cal_points"),
 }
 
 

@@ -23,7 +23,6 @@ from .calibration import (
     CalibrationTable,
     CombinedDelaySolver,
     DelaySetting,
-    calibrate_fine_delay,
     calibration_stimulus,
 )
 from .coarse_delay import CoarseDelayLine
@@ -194,13 +193,14 @@ class CombinedDelayLine(CircuitElement):
 
         *vctrls* optionally programs each lane its own fine-section
         control voltage (the calibration-sweep batching); ``None``
-        keeps the programmed controls.
+        keeps the programmed controls.  A batch is this line repeated
+        once per lane through :func:`process_lines_pack`.
         """
         rngs = self._resolve_lane_rngs(rngs, waveforms.n_lanes)
         with instrument.span("combined_delay"):
-            with instrument.span("coarse"):
-                coarse = self.coarse.process_batch(waveforms, rngs)
-            return self.fine.process_batch(coarse, rngs, vctrls=vctrls)
+            return process_lines_pack(
+                [self] * waveforms.n_lanes, waveforms, rngs, vctrls
+            )
 
     # -- calibration flow ------------------------------------------------------
 
@@ -208,7 +208,6 @@ class CombinedDelayLine(CircuitElement):
         self,
         stimulus: Optional[Waveform] = None,
         n_points: int = 13,
-        rng: Optional[np.random.Generator] = None,
     ) -> CombinedDelaySolver:
         """Measure fine curve and coarse taps; build and store the solver.
 
@@ -216,41 +215,14 @@ class CombinedDelayLine(CircuitElement):
         fine sweep with the coarse section at tap 0, the tap sweep with
         the fine section at minimum control), so the solver's numbers
         include every path interaction — exactly as a bench calibration
-        through the assembled board would.
+        through the assembled board would.  This is
+        :func:`calibrate_lines_pack` on a pack of one line; the noise
+        comes from a fixed per-line stream, so a line calibrates the
+        same alone or packed with others.
         """
         if stimulus is None:
             stimulus = calibration_stimulus()
-        if rng is None:
-            rng = np.random.default_rng(0xCA1B)
-        saved_tap0 = self.coarse.select
-        try:
-            self.coarse.select = 0
-            fine_table = calibrate_fine_delay(
-                self, stimulus=stimulus, n_points=n_points, rng=rng
-            )
-        finally:
-            self.coarse.select = saved_tap0
-        saved_tap = self.coarse.select
-        saved_vctrl = self.fine.vctrl
-        tap_delays = []
-        try:
-            self.fine.vctrl = self.fine.params.vctrl_min
-            with instrument.span("calibrate_tap_sweep"):
-                instrument.count(
-                    "calibration.tap_points", self.coarse.n_taps
-                )
-                for tap in range(self.coarse.n_taps):
-                    self.coarse.select = tap
-                    output = self.process(stimulus, rng)
-                    tap_delays.append(measure_delay(stimulus, output).delay)
-        finally:
-            self.coarse.select = saved_tap
-            self.fine.vctrl = saved_vctrl
-        tap_delays = [t - tap_delays[0] for t in tap_delays]
-        self._solver = CombinedDelaySolver(
-            fine_table=fine_table, tap_delays=tap_delays, dac=self.dac
-        )
-        return self._solver
+        return calibrate_lines_pack([self], [stimulus], n_points)[0]
 
     def set_delay(self, target: float) -> DelaySetting:
         """Program the circuit for *target* seconds of relative delay.
@@ -419,7 +391,9 @@ def process_lines_pack(
     Falls back to per-lane sequential processing when the lines differ
     structurally, so the result is always what the per-lane loop would
     produce; on the python kernel backend the fused path is bit-exact
-    against that loop.
+    against that loop.  A single lane also runs as that loop: the
+    scalar cascade picks event walk or relaxation per stage on numpy,
+    where the batch kernel always relaxes.
 
     *rngs* supplies lane *i*'s noise stream; ``None`` uses each line's
     own private generator — matching ``lines[i].process(lane, None)``.
@@ -434,8 +408,9 @@ def process_lines_pack(
         raise CircuitError(
             f"{len(rngs)} noise streams for {len(lines)} delay lines"
         )
-    if not _lines_packable(lines):
-        with instrument.span("lines_pack_fallback"):
+    if len(lines) == 1 or not _lines_packable(lines):
+        span = "lines_pack" if len(lines) == 1 else "lines_pack_fallback"
+        with instrument.span(span):
             outputs = []
             for i, line in enumerate(lines):
                 if vctrls is None:
@@ -491,18 +466,22 @@ def calibrate_lines_pack(
 ) -> list:
     """Calibrate many delay lines as one lane pack; store the solvers.
 
-    Reproduces :meth:`CombinedDelayLine.calibrate` (with its default
-    ``rng``) for every line, but renders the fine Vctrl sweeps of all
-    *K* lines as **one** ``K * n_points``-lane fused pass and the tap
-    sweep as ``n_taps`` *K*-lane passes.  Each line keeps its own
-    ``default_rng(0xCA1B)`` master stream, consumed in the same order
-    as the scalar flow (sweep children spawned first, the tap sweep
-    continuing the master), so per-line results match lane for lane —
-    bit-exactly on the python kernel backend.
+    The one calibration flow, the paper's per-channel procedure (Figs.
+    7, 9, 10): a fine Vctrl sweep with the coarse section at tap 0,
+    then a coarse tap sweep with the fine section at minimum control,
+    both through the full combined path.
+    :meth:`CombinedDelayLine.calibrate` is a pack of one.  The fine
+    sweeps of all *K* lines render as **one** ``K * n_points``-lane
+    fused pass and the tap sweep as ``n_taps`` *K*-lane passes.  Each
+    line draws its noise from its own ``default_rng(0xCA1B)`` master
+    stream (the sweep's per-point children spawned first, the tap
+    sweep continuing the master), so a line's solver does not depend
+    on which other lines share its pack — bit-exactly on the python
+    kernel backend.
 
     *stimuli* supplies line ``i``'s calibration waveform (all on one
     time grid).  Returns the list of solvers, which are also stored on
-    the lines (``line.solver``), like the scalar flow does.
+    the lines (``line.solver``).
     """
     if len(stimuli) != len(lines):
         raise CircuitError(

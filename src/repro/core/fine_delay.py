@@ -189,73 +189,6 @@ class FineDelayLine(CircuitElement):
             t_acc = t_acc + params.propagation_delay
         return stages, t_acc
 
-    def _cascade_plan_batch(
-        self,
-        batch: WaveformBatch,
-        rngs: Sequence[np.random.Generator],
-        vctrls: Optional[np.ndarray],
-    ) -> Tuple[List[CascadeStage], np.ndarray]:
-        """Batched :meth:`_cascade_plan`: lane-aware amplitudes and noise.
-
-        Amplitude columns are normalised exactly as the per-stage batch
-        path does (scalar stays 0-d, per-lane becomes ``(n_lanes, 1)``),
-        and lane ``i``'s noise is drawn from ``rngs[i]`` only, in stage
-        order.
-        """
-        dt = batch.dt
-        n = batch.n_samples
-        n_lanes = batch.n_lanes
-        t_acc = batch.t0
-        stages: List[CascadeStage] = []
-        for element in self._elements():
-            params = element.params
-            if isinstance(element, VariableGainBuffer):
-                vctrl = vctrls if vctrls is not None else element.vctrl
-                if isinstance(vctrl, Waveform):
-                    amplitude = np.stack(
-                        [
-                            params.amplitude_from_vctrl(
-                                vctrl.value_at(
-                                    t_acc[lane] + dt * np.arange(n)
-                                )
-                            )
-                            for lane in range(n_lanes)
-                        ]
-                    )
-                else:
-                    amplitude = params.amplitude_from_vctrl(
-                        np.asarray(vctrl, dtype=np.float64)
-                    )
-            else:
-                amplitude = element.amplitude
-            amplitude = np.asarray(amplitude, dtype=np.float64)
-            if amplitude.ndim == 1:
-                amplitude = amplitude[:, None]
-            noise = None
-            if params.noise_sigma > 0:
-                noise = band_limited_noise_batch(
-                    n_lanes, n, params.noise_sigma, params.noise_bandwidth,
-                    dt, rngs,
-                )
-            tau = bandwidth_to_time_constant(params.bandwidth)
-            b, a, zi_unit = cascade_filter_plan(dt, tau)
-            stages.append(
-                CascadeStage(
-                    amplitude=amplitude,
-                    amplitude_min=params.amplitude_min,
-                    v_linear=params.v_linear,
-                    max_step=params.slew_rate * dt,
-                    corner=params.compression_corner,
-                    order=params.compression_order,
-                    b=b,
-                    a=a,
-                    zi_unit=zi_unit,
-                    noise=noise,
-                )
-            )
-            t_acc = t_acc + np.asarray(params.propagation_delay)
-        return stages, t_acc
-
     def process(
         self, waveform: Waveform, rng: Optional[np.random.Generator] = None
     ) -> Waveform:
@@ -321,13 +254,13 @@ class FineDelayLine(CircuitElement):
         rngs = self._resolve_lane_rngs(rngs, waveforms.n_lanes)
         with instrument.span("fine_delay"):
             instrument.count("fine_delay.fused_calls")
-            stages, t_out = self._cascade_plan_batch(waveforms, rngs, vctrls)
+            stages, t_out = cascade_plan_pack(
+                [self] * waveforms.n_lanes, waveforms, rngs, vctrls
+            )
             samples = kernels.fine_delay_cascade_batch(
                 waveforms.values, stages, waveforms.dt
             )
             return WaveformBatch(samples, waveforms.dt, t_out)
-
-    # (pack planning lives at module level: cascade_plan_pack below.)
 
     def nominal_delay(self, vctrl: float, half_period: float = float("inf")) -> float:
         """Analytic estimate of the total insertion delay at *vctrl*.
@@ -385,21 +318,24 @@ def cascade_plan_pack(
 ) -> Tuple[List[CascadeStage], np.ndarray]:
     """Fused-kernel plan for a *pack*: lane ``i`` runs ``lines[i]``.
 
-    Where :meth:`FineDelayLine._cascade_plan_batch` runs one line over
-    many lanes, a pack runs many structurally-identical lines — e.g.
-    the same campaign scenario under different Monte-Carlo variation
-    draws — through one fused kernel call.  Each lane gets its own
-    amplitude target (via its line's own control mapping), slew limit,
-    amplitude floor, propagation delay, and noise sigma; the shared
-    stage physics (:data:`_SHARED_STAGE_FIELDS`) are re-validated
-    cheaply here because they feed kernel state common to all lanes.
+    The one batch plan builder.  A pack runs many structurally-identical
+    lines — e.g. the same campaign scenario under different Monte-Carlo
+    variation draws — through one fused kernel call; a batch through
+    one line (:meth:`FineDelayLine.process_batch`) is the same line
+    repeated.  Each lane gets its own amplitude target (via its line's
+    own control mapping), slew limit, amplitude floor, propagation
+    delay, and noise sigma; the shared stage physics
+    (:data:`_SHARED_STAGE_FIELDS`) are re-validated cheaply here because
+    they feed kernel state common to all lanes.
 
     *vctrls* optionally programs lane ``i``'s common control voltage;
-    ``None`` keeps each line's own programming (which must be scalar —
-    jitter-injection waveform controls are inherently per-line).  Lane
-    ``i`` draws noise from ``rngs[i]`` only, in stage order, so each
-    lane of the fused result is bit-exact against that line's own
-    scalar :meth:`FineDelayLine.process` on the python kernel backend.
+    ``None`` keeps each line's own per-stage programming.  A
+    jitter-injection waveform control (paper Sec. 5) is evaluated on
+    each lane's own delayed time grid, giving that stage an
+    ``(n_lanes, n_samples)`` amplitude.  Lane ``i`` draws noise from
+    ``rngs[i]`` only, in stage order, so each lane of the fused result
+    is bit-exact against that line's own scalar
+    :meth:`FineDelayLine.process` on the python kernel backend.
     """
     n_lanes = batch.n_lanes
     if len(lines) != n_lanes:
@@ -441,28 +377,38 @@ def cascade_plan_pack(
                         f"pack lanes disagree on shared stage field "
                         f"{field!r} at stage {index}"
                     )
-        amplitudes = np.empty(n_lanes, dtype=np.float64)
+        amplitudes = []
+        per_sample = False
         for lane, element in enumerate(elements):
             if isinstance(element, VariableGainBuffer):
                 vctrl = (
                     vctrls[lane] if vctrls is not None else element.vctrl
                 )
                 if isinstance(vctrl, Waveform):
-                    raise CircuitError(
-                        "pack plans need scalar control voltages; "
-                        "jitter-injection waveform controls are "
-                        "per-line"
+                    per_sample = True
+                    times = t_acc[lane] + dt * np.arange(n)
+                    amplitudes.append(
+                        element.params.amplitude_from_vctrl(
+                            vctrl.value_at(times)
+                        )
                     )
-                amplitudes[lane] = element.params.amplitude_from_vctrl(
-                    float(vctrl)
-                )
+                else:
+                    amplitudes.append(
+                        element.params.amplitude_from_vctrl(float(vctrl))
+                    )
             else:
-                amplitudes[lane] = element.amplitude
-        amplitude = _collapse_lane_values(amplitudes)
-        if isinstance(amplitude, float):
-            amplitude = np.asarray(amplitude, dtype=np.float64)
+                amplitudes.append(element.amplitude)
+        if per_sample:
+            amplitude = np.stack(
+                [np.broadcast_to(value, (n,)) for value in amplitudes]
+            ).astype(np.float64)
         else:
-            amplitude = amplitudes[:, None]
+            amplitudes = np.asarray(amplitudes, dtype=np.float64)
+            amplitude = _collapse_lane_values(amplitudes)
+            if isinstance(amplitude, float):
+                amplitude = np.asarray(amplitude, dtype=np.float64)
+            else:
+                amplitude = amplitudes[:, None]
         sigmas = np.array(
             [element.params.noise_sigma for element in elements]
         )

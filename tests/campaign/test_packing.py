@@ -27,7 +27,7 @@ from repro.campaign.packing import (
     validate_batch_lanes,
 )
 from repro.campaign.runner import evaluate_pack
-from repro.campaign.spec import canonical_json
+from repro.campaign.spec import PACK_STRUCTURAL_PARAMS, canonical_json
 from repro.errors import CampaignError
 from repro.kernels import active_backend
 
@@ -189,22 +189,20 @@ class TestPlanPacks:
         # (2 instances x 2 bit rates) must plan as 2 packs of 2, with
         # only variation draws and seeds differing within each pack.
         points = expand_points(tiny_spec())
-        units = plan_packs(
-            points, 64, runner._pack_key, runner._pack_weight
-        )
+        units = plan_packs(points, 64, runner._pack_key, lambda p: 1)
         assert sorted(len(unit) for unit in units) == [2, 2]
         for unit in units:
             keys = {runner._pack_key(point) for point in unit}
             assert len(keys) == 1
 
-    def test_deskew_weight_is_channel_count(self):
+    def test_deskew_points_plan_as_singletons(self):
         points = expand_points(deskew_spec())
-        assert runner._pack_weight(points[0]) == 2
-        # 3 points x 2 channels in 4 lanes: 2 + 1.
-        units = plan_packs(
-            points, 4, runner._pack_key, runner._pack_weight
-        )
-        assert [len(unit) for unit in units] == [2, 1]
+        assert all(runner._pack_key(point) is None for point in points)
+        for lanes in (2, 4, 64):
+            units = plan_packs(
+                points, lanes, runner._pack_key, lambda p: 1
+            )
+            assert units == [[point] for point in points]
 
 
 # -- packed-vs-scalar equivalence --------------------------------------------
@@ -240,9 +238,10 @@ class TestPackEquivalence:
 
     def test_evaluate_pack_matches_evaluate_point(self):
         points = expand_points(tiny_spec(sweeps=[]))
+        assert len(points) > 1
         packed = evaluate_pack(points)
-        scalar = [evaluate_point(point) for point in points]
-        assert_equivalent(packed, scalar)
+        alone = [evaluate_pack([point])[0] for point in points]
+        assert_equivalent(packed, alone)
 
     def test_auto_lanes_run_completes(self, cold_result):
         auto = run_campaign(tiny_spec(), jobs=1, batch_lanes="auto")
@@ -272,6 +271,14 @@ class TestCounters:
         assert counters["campaign.pack_lanes"] == 4
         assert counters["campaign.points.evaluated"] == 4
         assert "campaign.pack_fallback_scalar" not in counters
+
+    def test_deskew_never_packs_nor_counts_fallbacks(self):
+        _result, counters = _counters_for(
+            deskew_spec(), jobs=1, batch_lanes=64
+        )
+        assert "campaign.packs.evaluated" not in counters
+        assert "campaign.pack_fallback_scalar" not in counters
+        assert counters["campaign.points.evaluated"] == 3
 
     def test_scalar_run_has_no_pack_counters(self):
         _result, counters = _counters_for(
@@ -345,16 +352,25 @@ class TestCacheInterop:
 
 
 def _exploding_pack(points):
-    raise RuntimeError("pack kernel exploded")
+    """A range evaluator whose fused multi-point call always fails."""
+    if len(points) > 1:
+        raise RuntimeError("pack kernel exploded")
+    return runner._evaluate_range(points)
+
+
+def _explode_range_packs(monkeypatch):
+    monkeypatch.setitem(
+        runner._EVALUATORS,
+        "range",
+        runner._EVALUATORS["range"]._replace(evaluate=_exploding_pack),
+    )
 
 
 class TestFallback:
     def test_pack_failure_falls_back_to_scalar(
         self, monkeypatch, cold_result
     ):
-        monkeypatch.setitem(
-            runner._PACK_EVALUATORS, "range", _exploding_pack
-        )
+        _explode_range_packs(monkeypatch)
         instrument.get_registry().reset()
         instrument.enable()
         try:
@@ -369,15 +385,12 @@ class TestFallback:
         assert "campaign.packs.evaluated" not in counters
 
     def test_unpackable_scenario_falls_back(self, monkeypatch):
-        monkeypatch.delitem(runner._PACK_EVALUATORS, "range")
-        monkeypatch.delitem(runner._PACK_DEFAULTS, "range")
+        monkeypatch.delitem(PACK_STRUCTURAL_PARAMS, "range")
         result = run_campaign(tiny_spec(), jobs=1, batch_lanes=64)
         assert result.statuses == ["computed"] * 4
 
     def test_fallback_failure_names_the_failing_lane(self, monkeypatch):
-        monkeypatch.setitem(
-            runner._PACK_EVALUATORS, "range", _exploding_pack
-        )
+        _explode_range_packs(monkeypatch)
         real = evaluate_point
 
         def boom(point):

@@ -2,13 +2,14 @@
 
 Invariants that must hold across module boundaries, exercised on
 randomly generated inputs: delay additivity, monotonicity of control
-laws, calibration round trips, and model-order sanity for the event
-model under random (but physical) parameters.
+laws, calibration round trips, model-order sanity for the event
+model under random (but physical) parameters, and the paper's delay
+line invariants over the variation model's +-3 sigma box.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import measure_delay
@@ -18,7 +19,19 @@ from repro.circuits import (
     IdealDelay,
     TransmissionLine,
 )
-from repro.core import CalibrationTable, EventDelayModel
+from repro.campaign.variation import InstanceVariation
+from repro.core import (
+    CalibrationTable,
+    CombinedDelayLine,
+    EventDelayModel,
+    calibration_stimulus,
+)
+from repro.errors import CalibrationError
+from repro.core.params import (
+    COARSE_TAP_ERRORS,
+    FOUR_STAGE_BUFFER,
+    SOURCE_RISE_TIME,
+)
 from repro.circuits.vga_buffer import BufferParams
 from repro.signals import synthesize_nrz
 
@@ -168,3 +181,63 @@ class TestEventModelProperties:
             times, vctrl=1.2, rng=np.random.default_rng(1)
         )
         assert np.all(np.diff(out) >= 0)
+
+
+class TestDelayLineInvariants:
+    @given(
+        slew=st.floats(min_value=0.82, max_value=1.18),
+        amplitude=st.floats(min_value=0.88, max_value=1.12),
+        taps=st.lists(
+            st.floats(min_value=-6e-12, max_value=6e-12),
+            min_size=len(COARSE_TAP_ERRORS),
+            max_size=len(COARSE_TAP_ERRORS),
+        ),
+        rise_time=st.floats(min_value=0.85, max_value=1.15),
+        noise=st.floats(min_value=0.7, max_value=1.3),
+    )
+    @example(
+        slew=1.0, amplitude=1.0, taps=[0.0] * 4, rise_time=1.0, noise=1.0
+    )
+    @example(
+        slew=1.18,
+        amplitude=0.88,
+        taps=[6e-12, -6e-12, 6e-12, -6e-12],
+        rise_time=1.0,
+        noise=1.0,
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_calibration_monotone_and_in_spec_across_variation(
+        self, slew, amplitude, taps, rise_time, noise
+    ):
+        """An instance inside the +-3 sigma box calibrates to a fine
+        curve non-decreasing in Vctrl and >= 120 ps of total range (the
+        paper's requirement).
+
+        Not every instance calibrates: with a fast slew and opposing
+        tap offsets the fine range cannot bridge the widest coarse step
+        (the second example: 42.3 ps of fine range for a 49.8 ps gap).
+        The solver must then refuse, naming the gap, rather than return
+        a line with an unreachable band of delays.
+        """
+        variation = InstanceVariation(
+            slew_rate_scale=slew,
+            amplitude_scale=amplitude,
+            tap_error_offsets=tuple(taps),
+            rise_time_scale=rise_time,
+            noise_sigma_scale=noise,
+        )
+        line = CombinedDelayLine(
+            seed=3,
+            buffer_params=variation.buffer_params(FOUR_STAGE_BUFFER),
+            tap_errors=variation.tap_errors(COARSE_TAP_ERRORS),
+        )
+        stimulus = calibration_stimulus(
+            n_bits=32, rise_time=variation.rise_time(SOURCE_RISE_TIME)
+        )
+        try:
+            solver = line.calibrate(stimulus=stimulus, n_points=9)
+        except CalibrationError as exc:
+            assert "cannot cover the largest coarse gap" in str(exc)
+            return
+        assert np.all(np.diff(solver.fine_table.delays) >= 0)
+        assert solver.total_range >= 120e-12
