@@ -130,15 +130,18 @@ def main(argv=None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="evaluate up to N points in parallel processes (default: 1)",
+        help=(
+            "evaluate up to N points in parallel local worker processes; "
+            "same as --workers spawn://N (default: 1, in-process)"
+        ),
     )
     run_parser.add_argument(
         "--workers",
         default=None,
         metavar="SPEC",
         help=(
-            "shard points across a distributed worker pool instead of "
-            "local processes: spawn://N spawns N local workers, "
+            "shard points across a worker pool (overrides --jobs): "
+            "spawn://N starts N local worker processes, "
             "tcp://HOST:PORT listens for remote ones "
             "(python -m repro.workers serve); comma-separate to mix"
         ),

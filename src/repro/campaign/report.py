@@ -329,8 +329,11 @@ def write_report(path, report: dict) -> None:
         raise
 
 
-def _format_ps(seconds: float) -> str:
-    return f"{seconds * 1e12:.2f} ps"
+def _format_value(metric: str, value: float) -> str:
+    """Seconds metrics (``*_s``) in ps; counts and flags as plain numbers."""
+    if metric.endswith("_s"):
+        return f"{value * 1e12:.2f} ps"
+    return f"{value:g}"
 
 
 def format_report(report: dict) -> str:
@@ -359,9 +362,10 @@ def format_report(report: dict) -> str:
         lines.append(
             f"{entry['name']:<14}"
             f"{entry['metric']:<17}"
-            f"{_format_ps(entry['limit']):<11}"
+            f"{_format_value(entry['metric'], entry['limit']):<11}"
             f"{yield_text:<17}"
-            f"{_format_ps(worst['value'])} @ point {worst['index']}"
+            f"{_format_value(entry['metric'], worst['value'])} "
+            f"@ point {worst['index']}"
         )
     lines.append("")
     lines.append("metric             n      p50        p90        p99        worst")
@@ -371,9 +375,9 @@ def format_report(report: dict) -> str:
         lines.append(
             f"{name:<19}"
             f"{entry['n']:<7}"
-            f"{_format_ps(entry['p50']):<11}"
-            f"{_format_ps(entry['p90']):<11}"
-            f"{_format_ps(entry['p99']):<11}"
-            f"{_format_ps(worst)}"
+            f"{_format_value(name, entry['p50']):<11}"
+            f"{_format_value(name, entry['p90']):<11}"
+            f"{_format_value(name, entry['p99']):<11}"
+            f"{_format_value(name, worst)}"
         )
     return "\n".join(lines)

@@ -2,14 +2,16 @@
 
 :func:`run_campaign` expands a :class:`~repro.campaign.spec.CampaignSpec`
 into points, satisfies as many as possible from the content-addressed
-cache, and schedules the rest — sequentially or over a
-``ProcessPoolExecutor`` — through the same instrumented point runner
-``python -m repro.experiments --jobs N`` uses
-(:func:`repro.experiments.common.call_instrumented`).  Every point is
-evaluated with a seed derived from its own identity, so results are
-bit-for-bit identical regardless of worker count or completion order,
-and every computed point is written to the cache as soon as it
-finishes — a killed campaign resumes from exactly where it died.
+cache, and schedules the rest on one of two paths: an in-process loop
+(``jobs=1``) or a :class:`~repro.workers.pool.WorkerPool` (``jobs=N``
+is spelled ``spawn://N``; ``workers`` names any endpoint spec).  Both
+paths settle results through the same function — metrics, status,
+instrument snapshot, cache write, progress — so failure attribution,
+cancel drain and kill-resume behave alike.  Every point is evaluated
+with a seed derived from its own identity, so results are bit-for-bit
+identical regardless of worker count or completion order, and every
+computed point is written to the cache as soon as it finishes — a
+killed campaign resumes from exactly where it died.
 
 Scenario evaluators
 -------------------
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -44,7 +45,7 @@ from typing import (
 
 import numpy as np
 
-from .. import instrument, parallel
+from .. import instrument
 from ..ate.bus import ParallelBus
 from ..ate.deskew import DeskewController
 from ..core.calibration import calibration_stimulus
@@ -59,7 +60,8 @@ from ..core.params import (
     SOURCE_RISE_TIME,
 )
 from ..errors import CampaignCancelled, CampaignError
-from ..experiments.common import WARMUP_TIME, call_instrumented, steady_state
+from ..parallel import validate_jobs
+from ..experiments.common import WARMUP_TIME, steady_state
 from ..signals.patterns import prbs_sequence
 from ..signals.nrz import synthesize_nrz
 from ..signals.waveform import WaveformBatch
@@ -311,9 +313,9 @@ class PackPointFailure(CampaignError):
     """One lane of a pack failed; ``index`` names the failing point.
 
     Packs evaluate many points per call, so a bare exception could not
-    say *which* point broke.  Constructed as ``(message, index)`` so
-    the instance survives the process-pool pickle round-trip with both
-    attributes intact.
+    say *which* point broke.  Only the in-process loop attributes it
+    (a pool worker re-runs a failed pack lane by lane and reports the
+    failing lane as a protocol frame); nothing pickles it any more.
     """
 
     def __init__(self, message: str, index: int):
@@ -401,28 +403,6 @@ def evaluate_point(point: CampaignPoint) -> dict:
     return evaluate_pack([point])[0]
 
 
-def _evaluate_for_pool(point: CampaignPoint, collect: bool):
-    """Worker-side wrapper: shared instrumented point runner.
-
-    The result crosses the process boundary shm-encoded: metrics dicts
-    are scalars (tokens change nothing), but any payload that carries
-    waveforms or large arrays moves its samples through shared memory
-    instead of the result pickle.
-    """
-    metrics, duration, snapshot = call_instrumented(
-        evaluate_point, point, collect=collect, span="campaign.point"
-    )
-    return parallel.encode_payload((metrics, duration, snapshot))
-
-
-def _evaluate_pack_for_pool(points: Sequence[CampaignPoint], collect: bool):
-    """Worker-side pack wrapper, the pack twin of `_evaluate_for_pool`."""
-    results, duration, snapshot = call_instrumented(
-        evaluate_pack, points, collect=collect, span="campaign.pack"
-    )
-    return parallel.encode_payload((results, duration, snapshot))
-
-
 def _failing_point(exc: BaseException, unit: Sequence[CampaignPoint]):
     """Which of the unit's points an evaluation exception belongs to."""
     if isinstance(exc, PackPointFailure):
@@ -507,99 +487,6 @@ class CampaignResult:
         ]
 
 
-def _settle_one(
-    point: CampaignPoint,
-    payload,
-    metrics: List[Optional[dict]],
-    statuses: List[str],
-    cache: Optional[ResultCache],
-) -> None:
-    """Decode one worker payload, record it, and write it through."""
-    with instrument.span("ipc.decode"):
-        result, _duration, snapshot = parallel.decode_payload(payload)
-    metrics[point.index] = result
-    statuses[point.index] = "computed"
-    if snapshot is not None:
-        instrument.get_registry().merge(snapshot)
-    if cache is not None:
-        cache.put(point, result)
-
-
-def _settle_unit(
-    unit: Sequence[CampaignPoint],
-    payload,
-    metrics: List[Optional[dict]],
-    statuses: List[str],
-    cache: Optional[ResultCache],
-) -> None:
-    """Decode one pack payload and scatter it into per-point entries.
-
-    The cache stores exactly what the scalar path would store — one
-    metrics dict per point, keyed by the point's own digest — so
-    whether a point was computed alone or as a pack lane is invisible
-    to later (possibly scalar) runs.
-    """
-    with instrument.span("ipc.decode"):
-        results, _duration, snapshot = parallel.decode_payload(payload)
-    if not isinstance(results, (list, tuple)) or len(results) != len(unit):
-        got = (
-            len(results)
-            if isinstance(results, (list, tuple))
-            else type(results).__name__
-        )
-        raise CampaignError(
-            f"pack result misaligned: {len(unit)} lanes, got {got}"
-        )
-    for point, result in zip(unit, results):
-        metrics[point.index] = result
-        statuses[point.index] = "computed"
-        if cache is not None:
-            cache.put(point, result)
-    if snapshot is not None:
-        instrument.get_registry().merge(snapshot)
-
-
-def _drain_pool(
-    remaining,
-    futures,
-    metrics: List[Optional[dict]],
-    statuses: List[str],
-    cache: Optional[ResultCache],
-) -> None:
-    """Settle every in-flight future before the loop unwinds.
-
-    Called when the collection loop stops early (one point failed, or
-    the run was cancelled).  Futures not yet started are cancelled;
-    futures already running are waited out and their results decoded
-    and cached exactly as if the loop had reached them — otherwise
-    their shm payloads would leak and their compute would be thrown
-    away.  A drained future that itself failed, or whose payload
-    cannot be decoded, is released and skipped; nothing raises out of
-    a drain.
-    """
-    for future in remaining:
-        future.cancel()
-    finished, _ = wait(list(remaining))
-    for future in finished:
-        if future.cancelled():
-            continue
-        unit = futures[future]
-        try:
-            payload = future.result()
-        except BaseException:
-            continue
-        try:
-            if len(unit) == 1:
-                _settle_one(unit[0], payload, metrics, statuses, cache)
-            else:
-                _settle_unit(unit, payload, metrics, statuses, cache)
-        except BaseException:
-            # decode_payload released the payload's own blocks; make
-            # sure nothing referenced survives even if the failure was
-            # later (e.g. a cache write).
-            parallel.release_payload(payload)
-
-
 def run_campaign(
     spec: CampaignSpec,
     jobs: int = 1,
@@ -617,8 +504,11 @@ def run_campaign(
     spec:
         The campaign to run.
     jobs:
-        Worker processes; ``1`` runs in-process.  Results do not
-        depend on this (per-point seeding is schedule-independent).
+        Local worker processes; ``1`` runs in-process.  ``N > 1`` with
+        more than one pending point is ``workers="spawn://N"``: the
+        same :class:`~repro.workers.pool.WorkerPool` path, not a second
+        scheduler.  Results do not depend on this (per-point seeding is
+        schedule-independent).
     batch_lanes:
         Lane-packing width: structurally-compatible pending points are
         grouped into packs of up to this many kernel lanes and each
@@ -633,12 +523,11 @@ def run_campaign(
         Optional :mod:`repro.workers` endpoint spec (e.g.
         ``"spawn://2"`` or ``"tcp://0.0.0.0:8761"``).  When given, the
         pending points are sharded across a
-        :class:`~repro.workers.pool.WorkerPool` instead of the local
-        process pool, with heartbeat liveness and fault-tolerant
-        requeue; *jobs* is ignored for execution.  Results are still
-        bit-for-bit identical — per-point seeding is
-        schedule-independent and the wire format round-trips floats
-        exactly.
+        :class:`~repro.workers.pool.WorkerPool` with heartbeat
+        liveness and fault-tolerant requeue; *jobs* is then ignored
+        for execution.  Results are still bit-for-bit identical —
+        per-point seeding is schedule-independent and the wire format
+        round-trips floats exactly.
     cache_dir:
         Directory for the content-addressed result cache; ``None``
         (and no *cache*) disables caching.
@@ -665,7 +554,7 @@ def run_campaign(
     CampaignCancelled
         When *cancel* was set mid-run (see above).
     """
-    jobs = parallel.validate_jobs(jobs, flag="jobs")
+    jobs = validate_jobs(jobs, flag="jobs")
     lanes = resolve_batch_lanes(batch_lanes, flag="batch_lanes")
     if workers is not None:
         # Parse eagerly so a bad endpoint spec fails before any
@@ -676,34 +565,6 @@ def run_campaign(
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
     t0 = time.perf_counter()
-
-    def cancelled() -> bool:
-        return cancel is not None and cancel.is_set()
-
-    def partial_result(
-        points, metrics, statuses, cached, done
-    ) -> CampaignResult:
-        return CampaignResult(
-            spec=spec,
-            points=points,
-            metrics=metrics,
-            statuses=statuses,
-            computed=sum(1 for s in statuses if s == "computed"),
-            cached=cached,
-            duration_s=time.perf_counter() - t0,
-            jobs=jobs,
-            cache_stats={} if cache is None else cache.stats(),
-        )
-
-    def raise_cancelled(points, metrics, statuses, cached, done, total):
-        partial = partial_result(points, metrics, statuses, cached, done)
-        instrument.count("campaign.runs.cancelled")
-        raise CampaignCancelled(
-            f"campaign {spec.name!r} cancelled at {done}/{total} points",
-            done=done,
-            total=total,
-            partial=partial,
-        )
 
     with instrument.span("campaign.run"):
         points = expand_points(spec)
@@ -720,14 +581,56 @@ def run_campaign(
                 else:
                     pending.append(point)
         cached = total - len(pending)
+        done = cached
+
+        def result() -> CampaignResult:
+            return CampaignResult(
+                spec=spec,
+                points=points,
+                metrics=metrics,
+                statuses=statuses,
+                computed=statuses.count("computed"),
+                cached=cached,
+                duration_s=time.perf_counter() - t0,
+                jobs=jobs,
+                cache_stats={} if cache is None else cache.stats(),
+            )
+
+        def raise_cancelled():
+            instrument.count("campaign.runs.cancelled")
+            raise CampaignCancelled(
+                f"campaign {spec.name!r} cancelled at {done}/{total} points",
+                done=done,
+                total=total,
+                partial=result(),
+            )
+
+        def settle(point, value, _duration_s=0.0, snapshot=None) -> None:
+            """Record one computed point; the pool's ``on_result`` too."""
+            nonlocal done
+            metrics[point.index] = value
+            statuses[point.index] = "computed"
+            if snapshot is not None:
+                instrument.get_registry().merge(snapshot)
+            if cache is not None:
+                cache.put(point, value)
+            done += 1
+            if progress is not None:
+                progress(done, total)
+
+        def failed(point, exc) -> CampaignError:
+            return CampaignError(
+                f"campaign {spec.name!r}: "
+                f"{_describe_point(point)} failed: {exc}"
+            )
+
         instrument.count("campaign.points.total", total)
         instrument.count("campaign.points.cached", cached)
         instrument.count("campaign.points.scheduled", len(pending))
-        done = cached
         if progress is not None and done:
             progress(done, total)
-        if cancelled():
-            raise_cancelled(points, metrics, statuses, cached, done, total)
+        if cancel is not None and cancel.is_set():
+            raise_cancelled()
 
         if lanes > 1:
             keys = {point.index: _pack_key(point) for point in pending}
@@ -748,21 +651,11 @@ def run_campaign(
         else:
             units = [[point] for point in pending]
 
-        collect = instrument.enabled()
+        if workers is None and jobs > 1 and len(pending) > 1:
+            # --jobs N is spelled spawn://N: one scheduler, one drain.
+            workers = f"spawn://{jobs}"
         if workers is not None and pending:
             from ..workers.pool import PointFailure, WorkerPool
-
-            def _on_worker_result(point, result, _duration_s, snapshot):
-                nonlocal done
-                metrics[point.index] = result
-                statuses[point.index] = "computed"
-                if snapshot is not None:
-                    instrument.get_registry().merge(snapshot)
-                if cache is not None:
-                    cache.put(point, result)
-                done += 1
-                if progress is not None:
-                    progress(done, total)
 
             packs = [
                 [point.index for point in unit]
@@ -777,96 +670,19 @@ def run_campaign(
                 try:
                     finished = pool.run(
                         pending,
-                        collect=collect,
-                        on_result=_on_worker_result,
+                        collect=instrument.enabled(),
+                        on_result=settle,
                         cancel=cancel,
                         **pack_kwargs,
                     )
                 except PointFailure as exc:
-                    raise CampaignError(
-                        f"campaign {spec.name!r}: "
-                        f"{_describe_point(exc.point)} failed: {exc}"
-                    ) from exc
+                    raise failed(exc.point, exc) from exc
             if not finished:
-                raise_cancelled(
-                    points, metrics, statuses, cached, done, total
-                )
-        elif jobs > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {}
-                for unit in units:
-                    if len(unit) == 1:
-                        future = pool.submit(
-                            _evaluate_for_pool, unit[0], collect
-                        )
-                    else:
-                        future = pool.submit(
-                            _evaluate_pack_for_pool, unit, collect
-                        )
-                    futures[future] = unit
-                # Completion order: each result is cached the moment it
-                # lands, so a kill mid-campaign loses at most the
-                # in-flight points.  The short wait timeout bounds the
-                # cancellation latency while points are long-running.
-                remaining = set(futures)
-                while remaining:
-                    if cancelled():
-                        _drain_pool(
-                            remaining, futures, metrics, statuses, cache
-                        )
-                        done = sum(
-                            1 for s in statuses if s != "missing"
-                        )
-                        raise_cancelled(
-                            points, metrics, statuses, cached, done, total
-                        )
-                    finished, remaining = wait(
-                        remaining, timeout=0.2, return_when=FIRST_COMPLETED
-                    )
-                    for future in finished:
-                        unit = futures[future]
-                        try:
-                            payload = future.result()
-                        except Exception as exc:
-                            _drain_pool(
-                                remaining, futures, metrics, statuses, cache
-                            )
-                            failing = _failing_point(exc, unit)
-                            raise CampaignError(
-                                f"campaign {spec.name!r}: "
-                                f"{_describe_point(failing)} failed: {exc}"
-                            ) from exc
-                        try:
-                            if len(unit) == 1:
-                                _settle_one(
-                                    unit[0],
-                                    payload,
-                                    metrics,
-                                    statuses,
-                                    cache,
-                                )
-                            else:
-                                _settle_unit(
-                                    unit, payload, metrics, statuses, cache
-                                )
-                        except Exception as exc:
-                            _drain_pool(
-                                remaining, futures, metrics, statuses, cache
-                            )
-                            raise CampaignError(
-                                f"campaign {spec.name!r}: result of "
-                                f"{_describe_point(unit[0])} could not be "
-                                f"decoded or stored: {exc}"
-                            ) from exc
-                        done += len(unit)
-                        if progress is not None:
-                            progress(done, total)
+                raise_cancelled()
         else:
             for unit in units:
-                if cancelled():
-                    raise_cancelled(
-                        points, metrics, statuses, cached, done, total
-                    )
+                if cancel is not None and cancel.is_set():
+                    raise_cancelled()
                 try:
                     if len(unit) == 1:
                         with instrument.span("campaign.point"):
@@ -877,17 +693,7 @@ def run_campaign(
                 except CampaignCancelled:
                     raise
                 except Exception as exc:
-                    failing = _failing_point(exc, unit)
-                    raise CampaignError(
-                        f"campaign {spec.name!r}: "
-                        f"{_describe_point(failing)} failed: {exc}"
-                    ) from exc
-                for point, result in zip(unit, results):
-                    metrics[point.index] = result
-                    statuses[point.index] = "computed"
-                    if cache is not None:
-                        cache.put(point, result)
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-    return partial_result(points, metrics, statuses, cached, done)
+                    raise failed(_failing_point(exc, unit), exc) from exc
+                for point, value in zip(unit, results):
+                    settle(point, value)
+    return result()

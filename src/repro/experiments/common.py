@@ -67,10 +67,11 @@ def call_instrumented(
 ) -> Tuple[object, float, Optional[dict]]:
     """Run one unit of work, optionally capturing its own metrics.
 
-    The shared point-runner both ``python -m repro.experiments`` and
-    :mod:`repro.campaign` schedule through their worker pools: it is
-    top-level picklable call material (workers receive ``fn`` by
-    module attribute plus plain arguments), and it implements the
+    The shared unit runner of ``python -m repro.experiments``'s
+    executor and of the campaign workers
+    (:class:`repro.workers.worker.WorkerSession`): it is top-level
+    picklable call material (executor workers receive ``fn`` by module
+    attribute plus plain arguments), and it implements the
     snapshot-per-call discipline the cross-process metric aggregation
     relies on.
 

@@ -1,10 +1,10 @@
 """Zero-copy transport of waveform payloads between worker processes.
 
-The worker pools (``repro.experiments --jobs`` and the campaign runner)
-used to move their results to the parent the default way: pickled
+``repro.experiments --jobs`` runs figures on a ``ProcessPoolExecutor``
+that would move results to the parent the default way: pickled
 through a pipe.  For payloads that carry sample records — waveforms,
-waveform batches, large arrays — that serialises megabytes per point,
-and the pipe write + parent-side unpickle shows up directly in campaign
+waveform batches, large arrays — that serialises megabytes per unit,
+and the pipe write + parent-side unpickle shows up directly in
 wall-clock.
 
 This module provides the replacement: :func:`encode_payload` walks a
@@ -26,6 +26,11 @@ Properties:
   block cannot be created), values are passed inline exactly as before.
 * Metrics-only payloads (plain dicts of floats) pass through untouched
   — no tokens, no shared memory, no behaviour change.
+
+Campaigns do not use an executor: ``repro.campaign run --jobs N`` runs on
+the :class:`~repro.workers.pool.WorkerPool` (``spawn://N``), whose
+wire protocol parks large arrays through this module's block helpers
+(:mod:`repro.workers.protocol`) with the same ownership rule.
 
 Ownership protocol: the encoding (worker) side creates each block,
 copies the samples in, *unregisters* it from its own

@@ -28,11 +28,14 @@ multi-host service.  Three layers, all stdlib + numpy only:
     evaluators and streams each result back the moment it completes.
     A heartbeat thread keeps answering pings while a point computes.
 
-``repro.campaign run --workers spawn://N`` spawns N local workers;
-``--workers tcp://HOST:PORT`` listens for remote ones (start them on
-the other hosts with ``python -m repro.workers serve``).  Results are
-bit-for-bit identical to ``--jobs N`` — per-point seeding never
-depends on which worker (or host) evaluated a point.
+``repro.campaign run --workers spawn://N`` starts N local worker
+processes (forked from the campaign process where the platform's
+default :mod:`multiprocessing` context forks, so they inherit its
+imports); ``--jobs N`` is the same pool.  ``--workers tcp://HOST:PORT``
+listens for remote ones (start them on the other hosts with ``python
+-m repro.workers serve``).  Results are bit-for-bit identical to the
+in-process ``--jobs 1`` loop — per-point seeding never depends on
+which worker (or host) evaluated a point.
 """
 
 from .pool import WorkerPool, parse_workers_spec

@@ -6,8 +6,10 @@ Start a worker on any host that can reach the pool::
 
 The shared secret comes from ``REPRO_MASTER_TOKEN`` (or ``--token``);
 ``--shm`` opts into the zero-copy shared-memory result transport and
-is only valid when the worker runs on the pool's own host (spawned
-workers pass it automatically).
+is only valid when the worker runs on the pool's own host.  The
+pool's own ``spawn://`` workers do not come through this CLI: they are
+:mod:`multiprocessing` children that call
+:func:`repro.workers.worker.serve` directly, with shm on.
 """
 
 from __future__ import annotations

@@ -2,12 +2,15 @@
 
 :class:`WorkerPool` owns every connection:
 
-* **endpoints** — ``spawn://N`` spawns N local worker subprocesses
-  (``python -m repro.workers serve``) that connect back over loopback
-  with the zero-copy shared-memory result transport;
-  ``tcp://HOST:PORT`` listens on an interface for remote workers
-  started by hand on other hosts (serialized ndarray-frame results).
-  A comma-separated spec mixes both.
+* **endpoints** — ``spawn://N`` starts N local worker processes from
+  the default :mod:`multiprocessing` context (fork on Linux, so they
+  inherit the pool's imports instead of re-importing ``repro``) that
+  connect back over loopback with the zero-copy shared-memory result
+  transport; ``tcp://HOST:PORT`` listens on an interface for remote
+  workers started by hand on other hosts with ``python -m
+  repro.workers serve`` (serialized ndarray-frame results).  A
+  comma-separated spec mixes both.  ``repro.campaign run --jobs N``
+  is ``spawn://N``.
 * **handshake** — a connecting worker must present the matching
   protocol version, shared secret (``REPRO_MASTER_TOKEN``), and
   **cache identity** (code-version salt + kernel backend); anything
@@ -18,7 +21,9 @@
   stream back, so the queue itself load-balances; when the queue
   drains and a worker sits idle, the pool **steals** queued points
   back from the busiest worker (a ``revoke`` round-trip — points the
-  worker already started simply finish and win the race).
+  worker already started simply finish and win the race; a worker
+  whose revoke came back empty is not asked again until it delivers
+  a result).
 * **liveness** — a heartbeat thread pings every worker and declares
   any worker silent past ``deadline`` seconds dead; a dead or
   disconnected worker's in-flight points are **requeued** onto the
@@ -28,18 +33,17 @@
   kill-resume across pool restarts too.
 
 All result settling (cache writes, instrument merges, progress
-callbacks) happens on the caller's thread inside :meth:`run`, exactly
-like the single-host ``--jobs`` pool — reader threads only parse
-frames and queue events.
+callbacks) happens on the caller's thread inside :meth:`run`, through
+the same ``on_result`` the in-process campaign loop settles with —
+reader threads only parse frames and queue events.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import queue
 import socket
-import subprocess
-import sys
 import threading
 import time
 from collections import deque
@@ -47,6 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import instrument
 from ..errors import WorkerError, WorkerProtocolError
+from . import worker
 from .protocol import (
     PROTOCOL_VERSION,
     check_token,
@@ -72,7 +77,7 @@ def parse_workers_spec(spec) -> Dict[str, object]:
 
     ``spec`` is a comma-separated list of endpoints::
 
-        spawn://2                  two local worker subprocesses
+        spawn://2                  two local worker processes
         tcp://0.0.0.0:8761         listen for remote workers here
         spawn://2,tcp://:8761      both
 
@@ -137,6 +142,9 @@ class _WorkerHandle:
         self.retired = False
         #: a revoke round-trip is in flight (run-loop only).
         self.stealing = False
+        #: the last revoke came back empty: everything outstanding has
+        #: started, so don't ask again until a result arrives.
+        self.unstealable = False
 
     def send(self, obj: dict, frames: Tuple[bytes, ...] = ()) -> None:
         with self.send_lock:
@@ -164,7 +172,7 @@ class WorkerPool:
     token:
         Shared secret workers must present; defaults to the
         ``REPRO_MASTER_TOKEN`` environment variable.  Spawned workers
-        inherit it automatically.
+        are handed it directly.
     heartbeat:
         Ping cadence, seconds.
     deadline:
@@ -214,7 +222,7 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._events: "queue.Queue[tuple]" = queue.Queue()
         self._listeners: List[socket.socket] = []
-        self._procs: List[subprocess.Popen] = []
+        self._procs: List[multiprocessing.process.BaseProcess] = []
         self._threads: List[threading.Thread] = []
         self._names = iter(f"w{i}" for i in range(1_000_000))
         self._closed = False
@@ -246,31 +254,14 @@ class WorkerPool:
         self._threads.append(thread)
         return self
 
-    def _spawn_worker(self, port: int) -> subprocess.Popen:
-        env = dict(os.environ)
-        # The worker must import the same repro tree as the pool, even
-        # when the pool runs from a source checkout via PYTHONPATH.
-        src_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))
+    def _spawn_worker(self, port: int) -> multiprocessing.process.BaseProcess:
+        proc = multiprocessing.Process(
+            target=_serve_local,
+            args=(f"127.0.0.1:{port}", self.token),
+            daemon=True,
         )
-        parts = [src_root] + [
-            p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p
-        ]
-        env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
-        if self.token:
-            env["REPRO_MASTER_TOKEN"] = self.token
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.workers",
-                "serve",
-                "--connect",
-                f"127.0.0.1:{port}",
-                "--shm",
-            ],
-            env=env,
-        )
+        proc.start()
+        return proc
 
     def close(self) -> None:
         """Shut every worker down and release sockets and processes."""
@@ -292,11 +283,10 @@ class WorkerPool:
                 pass
             handle.kill_connection()
         for proc in self._procs:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=5)
+            if proc.exitcode is None:
                 proc.kill()
-                proc.wait()
+                proc.join()
 
     def __enter__(self) -> "WorkerPool":
         return self.start()
@@ -446,10 +436,10 @@ class WorkerPool:
             if alive >= want:
                 return alive
             for proc in self._procs:
-                if proc.poll() is not None and alive < want:
+                if proc.exitcode is not None and alive < want:
                     raise WorkerError(
                         f"spawned worker (pid {proc.pid}) exited with "
-                        f"status {proc.returncode} before connecting"
+                        f"status {proc.exitcode} before connecting"
                     )
             if time.monotonic() > deadline:
                 if alive:
@@ -459,7 +449,7 @@ class WorkerPool:
                     f"(spawn={self.spawn_count}, "
                     f"listen={self.listen_endpoints})"
                 )
-            time.sleep(0.05)
+            time.sleep(0.01)
 
     # -- scheduling --------------------------------------------------------
 
@@ -587,6 +577,7 @@ class WorkerPool:
                 continue
             if kind == "revoked":
                 handle.stealing = False
+                handle.unstealable = not envelope.get("indices")
                 for index in envelope.get("indices", ()):
                     point = handle.outstanding.pop(index, None)
                     if point is not None and index not in done:
@@ -609,6 +600,7 @@ class WorkerPool:
             if kind == "result":
                 index = envelope.get("index")
                 handle.outstanding.pop(index, None)
+                handle.unstealable = False
                 if index in done or index not in by_index:
                     # Duplicate delivery of a stolen/requeued point:
                     # the first result won; free any parked blocks.
@@ -688,7 +680,10 @@ class WorkerPool:
         confirmed by the worker, so a point is never lost: either it
         comes back (and is redispatched to the idle worker on the
         next loop) or the busy worker already started it and its
-        result simply arrives first.
+        result simply arrives first.  A worker whose last revoke came
+        back empty (say, it is computing one whole lane pack) is
+        skipped until its next result, or the loop would re-ask it on
+        every pass.
         """
         if pending:
             return
@@ -696,7 +691,11 @@ class WorkerPool:
         idle = [h for h in live if not h.outstanding]
         if not idle:
             return
-        busiest = max(live, key=lambda h: len(h.outstanding), default=None)
+        busiest = max(
+            (h for h in live if not h.unstealable),
+            key=lambda h: len(h.outstanding),
+            default=None,
+        )
         if (
             busiest is None
             or busiest.stealing
@@ -757,3 +756,11 @@ class WorkerPool:
             pending.appendleft([point])
         if orphans:
             instrument.count("workers.points.requeued", len(orphans))
+
+
+def _serve_local(address: str, token: Optional[str]) -> None:
+    """Body of a ``spawn://`` worker process: serve the local pool."""
+    try:
+        worker.serve(address, shm=True, token=token)
+    except KeyboardInterrupt:
+        pass

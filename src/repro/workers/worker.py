@@ -17,7 +17,8 @@ serves until told to stop:
   executor), and streams each result back the moment it finishes.
 
 Results travel as the protocol's encoded tree: zero-copy shared
-memory when the worker was spawned on the pool's host (``--shm``),
+memory when the worker runs on the pool's host (``spawn://`` workers,
+or ``serve --shm``),
 dtype/shape-framed raw bytes otherwise.  A failed point is reported
 as a ``point_error`` frame; the worker itself keeps serving.
 """

@@ -16,7 +16,8 @@ from repro.campaign import (
     write_report,
 )
 from repro.campaign.report import SpecLine, _percentile
-from repro.campaign.spec import canonical_json
+from repro.campaign.runner import CampaignResult
+from repro.campaign.spec import canonical_json, expand_points
 from repro.errors import CampaignError
 
 
@@ -197,3 +198,66 @@ class TestWriteAndFormat:
         assert "total_range_s" in text
         assert "%" in text
         assert "p99" in text.lower() or "p99" in text
+
+
+class TestDeskewFormat:
+    """A deskew report mixes seconds metrics with counts."""
+
+    @pytest.fixture(scope="class")
+    def deskew_report(self):
+        spec = CampaignSpec.from_dict(
+            {
+                "name": "report-deskew",
+                "scenario": "deskew",
+                "seed": 909,
+                "n_instances": 2,
+                "base": {"n_channels": 2},
+                "sweeps": [],
+            }
+        )
+        points = expand_points(spec)
+        metrics = [
+            {
+                "initial_spread_s": 150e-12 + 10e-12 * point.index,
+                "final_spread_s": 2e-12 + 1e-12 * point.index,
+                "converged": True,
+                "iterations": 2 + point.index,
+                "total_range_s": 130e-12,
+                "variation": [],
+            }
+            for point in points
+        ]
+        result = CampaignResult(
+            spec=spec,
+            points=points,
+            metrics=metrics,
+            computed=len(points),
+            cached=0,
+            duration_s=1.0,
+            jobs=1,
+        )
+        return build_report(result)
+
+    def rows(self, report):
+        return {
+            line.split()[0]: line.split()
+            for line in format_report(report).splitlines()
+            if line.strip()
+        }
+
+    def test_counts_print_as_plain_numbers(self, deskew_report):
+        entry = deskew_report["payload"]["percentiles"]["iterations"]
+        expected = [f"{entry[key]:g}" for key in ("p50", "p90", "p99", "max")]
+        assert self.rows(deskew_report)["iterations"] == [
+            "iterations",
+            str(entry["n"]),
+            *expected,
+        ]
+
+    def test_seconds_print_in_ps(self, deskew_report):
+        row = self.rows(deskew_report)["final_spread_s"]
+        # name, n, then four "<value> ps" columns.
+        assert len(row) == 10
+        assert row[2:] == ["2.50", "ps", "2.90", "ps", "2.99", "ps", "3.00", "ps"]
+        skew = self.rows(deskew_report)["skew"]
+        assert skew[2:4] == ["5.00", "ps"]

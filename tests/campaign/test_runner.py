@@ -201,35 +201,32 @@ class TestCaching:
 
 # -- failure draining --------------------------------------------------------
 
-# Pool stand-ins for the drain tests.  They live at module level so the
-# fork-started workers can unpickle them by qualified name; the parent
-# swaps them in for ``runner._evaluate_for_pool`` via monkeypatch and
-# fork inheritance does the rest.  Point 0 fails after the other
-# workers are mid-flight (sleeps stagger the schedule deterministically).
+# Evaluator stand-ins for the drain tests.  The parent swaps them in
+# for ``runner.evaluate_point`` via monkeypatch; the pool's workers are
+# forked after the patch, so they inherit it.  Point 0 fails after the
+# other workers are mid-flight (sleeps stagger the schedule
+# deterministically).
 
 
-def _drain_worker(point, collect):
+def _drain_worker(point):
     if point.index == 0:
         time.sleep(0.25)
         raise RuntimeError("injected point failure")
     time.sleep(0.5)
-    return parallel.encode_payload(
-        ({"delay_ps": float(point.index)}, 0.01, None)
-    )
+    return {"delay_ps": float(point.index)}
 
 
-def _shm_drain_worker(point, collect):
+def _shm_drain_worker(point):
     if point.index == 0:
         time.sleep(0.25)
         raise RuntimeError("injected point failure")
     time.sleep(0.5)
-    metrics = {
+    return {
         "delay_ps": float(point.index),
-        # 64 KiB, well past MIN_SHM_BYTES: forces the payload through
+        # 64 KiB, well past MIN_SHM_BYTES: forces the result through
         # a shared-memory block the parent must decode or leak.
         "trace": np.zeros(8192, dtype=np.float64),
     }
-    return parallel.encode_payload((metrics, 0.01, None))
 
 
 fork_only = pytest.mark.skipif(
@@ -243,7 +240,7 @@ class TestFailureDrain:
     def test_failure_names_point_and_caches_survivors(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(runner, "_evaluate_for_pool", _drain_worker)
+        monkeypatch.setattr(runner, "evaluate_point", _drain_worker)
         cache = ResultCache(tmp_path / "cache")
         spec = tiny_spec()
         with pytest.raises(
@@ -267,7 +264,7 @@ class TestFailureDrain:
     def test_failure_releases_inflight_shm(self, tmp_path, monkeypatch):
         if not parallel.SHM_AVAILABLE or not os.path.isdir("/dev/shm"):
             pytest.skip("POSIX shared memory not observable here")
-        monkeypatch.setattr(runner, "_evaluate_for_pool", _shm_drain_worker)
+        monkeypatch.setattr(runner, "evaluate_point", _shm_drain_worker)
         before = set(os.listdir("/dev/shm"))
         with pytest.raises(CampaignError, match="point 0"):
             run_campaign(tiny_spec(), jobs=2)

@@ -1,8 +1,9 @@
 """Integration tests for the distributed worker pool.
 
-These run real spawned worker subprocesses (loopback TCP + shared
-memory) and hand-rolled fake workers (a raw socket speaking just
-enough protocol) to exercise the failure paths — auth rejection,
+These run real ``spawn://`` worker processes (loopback TCP + shared
+memory), a ``python -m repro.workers serve`` subprocess on a
+``tcp://`` pool, and hand-rolled fake workers (a raw socket speaking
+just enough protocol) to exercise the failure paths — auth rejection,
 heartbeat death, requeue, mid-run SIGKILL — without waiting on real
 crashes.
 """
@@ -12,10 +13,14 @@ import json
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
+
+import repro
 
 from repro.campaign.runner import evaluate_point, run_campaign
 from repro.campaign.spec import CampaignSpec, expand_points
@@ -158,8 +163,9 @@ class TestSpawnedWorkers:
             )
 
     def test_run_campaign_workers_byte_identical_to_jobs(self, tmp_path):
+        # jobs=2 is spawn://2 itself; the reference is the in-process loop.
         spec = tiny_spec()
-        local = run_campaign(spec, jobs=2)
+        local = run_campaign(spec, jobs=1)
         distributed = run_campaign(
             spec,
             workers="spawn://2",
@@ -208,6 +214,32 @@ class TestSpawnedWorkers:
         # No orphaned shared-memory blocks survive the kill.
         assert shm_segments() - before == set()
 
+    def test_busy_pack_is_not_revoked_in_a_spin(self, monkeypatch):
+        # One pack keeps one worker busy while the other idles.  A
+        # revoke that came back empty must not be re-sent on every
+        # scheduler pass: at most one per delivered result, plus one
+        # per worker.
+        spec = tiny_spec(n_instances=2)  # 4 points
+        points = expand_points(spec)
+        calls = []
+        revoke = WorkerPool._revoke
+
+        def counted(pool, handle, indices):
+            calls.append(list(indices))
+            return revoke(pool, handle, indices)
+
+        monkeypatch.setattr(WorkerPool, "_revoke", counted)
+        got = {}
+        with WorkerPool("spawn://2", deadline=60.0) as pool:
+            finished = pool.run(
+                points,
+                packs=[[p.index for p in points]],
+                on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
+            )
+        assert finished
+        assert sorted(got) == [p.index for p in points]
+        assert len(calls) <= len(points) + 2, f"{len(calls)} revokes"
+
     def test_bad_spec_fails_before_spawning(self):
         with pytest.raises(WorkerError, match="carrier://1"):
             run_campaign(tiny_spec(), workers="carrier://1")
@@ -215,6 +247,49 @@ class TestSpawnedWorkers:
 
 def spec_points(spec):
     return expand_points(spec)
+
+
+class TestRemoteWorkerCli:
+    def test_serve_cli_matches_in_process(self):
+        """``python -m repro.workers serve`` joins a tcp:// pool."""
+        spec = tiny_spec()
+        points = expand_points(spec)
+        local = run_campaign(spec, jobs=1)
+        src_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [src_root, os.environ.get("PYTHONPATH")])
+            ),
+        )
+        got = {}
+        with WorkerPool("tcp://127.0.0.1:0", deadline=60.0) as pool:
+            proc = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.workers",
+                    "serve",
+                    "--connect",
+                    f"127.0.0.1:{listen_port(pool)}",
+                ],
+                env=env,
+            )
+            try:
+                finished = pool.run(
+                    points,
+                    on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
+                )
+                # Serialized frames, not the same-host shm transport.
+                assert [h.shm for h in pool.live_workers()] == [False]
+            except BaseException:
+                proc.kill()
+                raise
+        assert proc.wait(timeout=30) == 0
+        assert finished
+        assert json.dumps(
+            [got[p.index] for p in points], sort_keys=True
+        ) == json.dumps(local.metrics, sort_keys=True)
 
 
 class TestFakeWorkerScheduling:
