@@ -22,7 +22,7 @@ from repro import kernels
 from repro.core import FineDelayLine
 from repro.signals import prbs_sequence, synthesize_nrz
 
-BACKENDS = kernels.available_backends()
+BACKENDS = kernels.BACKEND_NAMES
 
 
 def _per_stage(line, waveform, rng):

@@ -6,15 +6,14 @@ loops: slew tracking, one full buffer stage, waveform synthesis, and
 the edge-matched delay measurement.
 
 The hot loops dispatch through :mod:`repro.kernels`, so the kernel
-benchmarks are parametrised over every backend importable in this
-environment (``python`` reference, ``numpy`` event-vectorised, and
-``numba`` when the ``fast`` extra is installed).  Compare with::
+benchmarks are parametrised over both backends (``python`` reference
+and ``numpy`` event-vectorised).  Compare with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_micro_performance.py \
         --benchmark-group-by=func
 
 The end-to-end benchmark runs the paper's headline application — an
-8-channel bus deskewed to < 5 ps — under the fastest available backend.
+8-channel bus deskewed to < 5 ps — under the default (numpy) backend.
 """
 
 import time
@@ -30,7 +29,7 @@ from repro.circuits.vga_buffer import slew_limit
 from repro.core import FineDelayLine, calibrate_fine_delay, calibration_stimulus
 from repro.signals import prbs_sequence, synthesize_nrz
 
-BACKENDS = kernels.available_backends()
+BACKENDS = kernels.BACKEND_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +90,7 @@ def test_perf_deskew_8_channels(benchmark):
 
     Exercises every layer at once — NRZ synthesis, the buffer chain
     per channel, edge extraction, delay measurement, and the iterated
-    correction loop — under the fastest available kernel backend.
+    correction loop — under the default (numpy) kernel backend.
     """
     with kernels.use_backend("auto"):
         bus = ParallelBus(n_channels=8, seed=42)

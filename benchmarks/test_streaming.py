@@ -24,7 +24,7 @@ from repro.core import FineDelayLine
 from repro.signals import NRZStreamSource, prbs_sequence, synthesize_nrz
 from repro.signals.waveform import Waveform
 
-BACKENDS = kernels.available_backends()
+BACKENDS = kernels.BACKEND_NAMES
 
 
 def _best_of(fn, repeats: int = 7) -> float:

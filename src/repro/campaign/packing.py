@@ -7,7 +7,7 @@ stage count).  The pack planner groups such points into **packs** of
 up to ``--batch-lanes`` lanes; the runner evaluates each pack with one
 fused multi-lane kernel pass per simulation phase instead of one pass
 per point (see :func:`repro.campaign.runner.evaluate_pack`), which is
-where the batched backends (numpy/numba) earn their keep.
+where the batched numpy backend earns its keep.
 
 Packing is a pure scheduling transform: every lane keeps its own
 per-point seed stream, so packed metrics are bit-for-bit identical to
@@ -33,9 +33,9 @@ __all__ = [
 
 #: ``--batch-lanes auto`` resolution per kernel backend.  The python
 #: backend runs packs at interpreted speed (no win, and packing buys
-#: nothing over the scalar loop); the vectorised backends saturate
-#: around 64 lanes.
-AUTO_LANES = {"python": 1, "numpy": 64, "numba": 64}
+#: nothing over the scalar loop); the vectorised numpy backend
+#: saturates around 64 lanes.
+AUTO_LANES = {"python": 1, "numpy": 64}
 
 
 def validate_batch_lanes(

@@ -237,8 +237,8 @@ def slew_limit(
     This is the discrete-time slew-rate limiter: the output moves toward
     the target by at most ``max_step`` volts per sample.  The inner loop
     runs on the active :mod:`repro.kernels` backend (the pure-Python
-    reference loop costs ~50 ns/sample; the numpy and numba backends
-    are far faster).
+    reference loop costs ~50 ns/sample; the numpy backend is far
+    faster).
     """
     return _kernel_slew_limit(values, max_step, initial)
 

@@ -212,7 +212,7 @@ class FineDelayLine(CircuitElement):
         corresponding output chunks in bounded memory.  With
         *prime* equal to the concatenated chunks the streamed output is
         bit-exact against :meth:`process` on the python kernel backend
-        (and within the 0.01 ps delay contract on numpy/numba);
+        (and within the 0.01 ps delay contract on numpy);
         ``prime=None`` freezes the whole-record statistics from the
         first chunk instead.  ``rng=None`` uses the stages' private
         generators — the same streams :meth:`process` consumes.

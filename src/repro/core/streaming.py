@@ -23,7 +23,7 @@ and ``tests/core/test_streaming.py``): with a priming record equal to
 the concatenated chunks, a streamed :class:`FineDelayLine` run is
 **bit-exact** against the monolithic path on the python kernel backend
 for *any* split of the record, and within the 0.01 ps measured-delay
-contract on the numpy/numba backends.
+contract on the numpy backend.
 
 Whole-record statistics and priming
 -----------------------------------

@@ -60,7 +60,7 @@ class ControlRangeError(CircuitError, ValueError):
 
 
 class KernelError(ReproError):
-    """A compute-kernel backend is unknown or unavailable."""
+    """A compute-kernel backend name is not ``python``, ``numpy`` or ``auto``."""
 
 
 class InstrumentError(ReproError, ValueError):

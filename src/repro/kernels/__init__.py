@@ -4,7 +4,7 @@ Every per-sample loop that dominates the simulator's wall-clock time —
 the slew-rate limiters inside each buffer stage, the edge-matching
 loop of the delay measurement, and the comparator walk of the
 hysteresis edge extractor — dispatches through this package to one of
-three interchangeable backends:
+two interchangeable backends:
 
 ``python``
     The original interpreted loops, kept as the bit-exact semantic
@@ -14,14 +14,10 @@ three interchangeable backends:
     limiters, full vectorisation for the measurement kernels.  Agrees
     with the reference to floating-point rounding (delay impact far
     below 0.01 ps).
-``numba``
-    Optional ``@njit`` transcriptions of the reference loops
-    (``pip install repro[fast]``), bit-exact against ``python``.
-    Falls back gracefully when numba is missing.
 
 Select with the ``REPRO_KERNELS`` environment variable or
-:func:`set_backend` / :func:`use_backend`; the default (``auto``)
-prefers numba, then numpy.  See DESIGN.md §"Kernel layer".
+:func:`set_backend` / :func:`use_backend`; the default (``auto``) is
+numpy.  See DESIGN.md §"Kernel layer".
 
 Each backend has one fused cascade per record shape:
 ``fine_delay_cascade_stream`` (one lane, carried per-stage state) and
@@ -43,12 +39,10 @@ from .cascade import (
     CascadeStageState,
     fresh_cascade_state,
     typical_crossing_interval,
-    typical_crossing_interval_batch,
 )
 from .dispatch import (
     BACKEND_NAMES,
     active_backend,
-    available_backends,
     get_backend,
     reset_backend,
     set_backend,
@@ -58,7 +52,6 @@ from .dispatch import (
 __all__ = [
     "BACKEND_NAMES",
     "active_backend",
-    "available_backends",
     "get_backend",
     "reset_backend",
     "set_backend",
@@ -67,7 +60,6 @@ __all__ = [
     "CascadeStageState",
     "fresh_cascade_state",
     "typical_crossing_interval",
-    "typical_crossing_interval_batch",
     "slew_limit",
     "compressive_slew_limit",
     "match_edges",
@@ -76,7 +68,6 @@ __all__ = [
     "slew_limit_batch",
     "compressive_slew_limit_batch",
     "match_edges_batch",
-    "hysteresis_crossings_batch",
     "fine_delay_cascade",
     "fine_delay_cascade_batch",
     "fine_delay_cascade_stream",
@@ -339,33 +330,20 @@ def match_edges_batch(
     """
     reference = _as_float_array(ref_edges)
     lanes = [_as_float_array(lane_edges) for lane_edges in out_edges]
+    coarses = _per_lane(coarse, len(lanes), "coarse")
+    window = float(max_edge_offset)
+
+    def match_lanes() -> List[np.ndarray]:
+        match = get_backend().match_edges
+        return [
+            match(reference, lane_edges, float(lane_coarse), window)
+            for lane_edges, lane_coarse in zip(lanes, coarses)
+        ]
+
     return _run(
         "match_edges_batch",
         reference.size * len(lanes) + sum(lane.size for lane in lanes),
-        lambda: get_backend().match_edges_batch(
-            reference,
-            lanes,
-            _per_lane(coarse, len(lanes), "coarse"),
-            float(max_edge_offset),
-        ),
-    )
-
-
-def hysteresis_crossings_batch(
-    v: np.ndarray, hysteresis: PerLane
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Comparator-with-hysteresis switches for every lane of a batch.
-
-    Returns one ``(positions, rising)`` pair per lane (lane results are
-    ragged).  *hysteresis* may be a scalar or one band per lane.
-    """
-    v = _as_float_matrix(v, "v")
-    return _run(
-        "hysteresis_crossings_batch",
-        v.size,
-        lambda: get_backend().hysteresis_crossings_batch(
-            v, _per_lane(hysteresis, v.shape[0], "hysteresis")
-        ),
+        match_lanes,
     )
 
 

@@ -11,7 +11,7 @@ backend) take the raw input samples plus a pre-built per-stage
 parameter plan and run the whole chain in one call; a whole record is
 one stream call on fresh state.
 
-This module holds what the three backends and the plan builder share:
+This module holds what the two backends and the plan builder share:
 
 * :class:`CascadeStage` — the per-stage parameter record of the plan
   (amplitude target, slew step, compression law, filter coefficients,
@@ -25,7 +25,7 @@ This module holds what the three backends and the plan builder share:
 Equivalence contract (asserted by ``tests/kernels/test_fusion.py``
 against a chain of per-stage ``process`` calls): fused output is
 **bit-exact** against the per-stage chain on the python backend, and
-within 0.01 ps of measured delay on numpy/numba.
+within 0.01 ps of measured delay on numpy.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "CascadeStageState",
     "fresh_cascade_state",
     "typical_crossing_interval",
-    "typical_crossing_interval_batch",
 ]
 
 
@@ -182,13 +181,3 @@ def typical_crossing_interval(v_in: np.ndarray, dt: float) -> float:
         median = (float(middle[half - 1]) + float(middle[half])) / 2.0
     return median * dt
 
-
-def typical_crossing_interval_batch(
-    v_in: np.ndarray, dt: float
-) -> np.ndarray:
-    """Per-lane :func:`typical_crossing_interval` of a ``(lanes, n)`` batch."""
-    n_lanes = v_in.shape[0]
-    intervals = np.empty(n_lanes)
-    for lane in range(n_lanes):
-        intervals[lane] = typical_crossing_interval(v_in[lane], dt)
-    return intervals

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import signal as _scipy_signal
 
-from .cascade import typical_crossing_interval, typical_crossing_interval_batch
+from .cascade import typical_crossing_interval
 
 __all__ = [
     "slew_limit",
@@ -38,8 +38,6 @@ __all__ = [
     "nearest_edge_margin",
     "slew_limit_batch",
     "compressive_slew_limit_batch",
-    "match_edges_batch",
-    "hysteresis_crossings_batch",
     "fine_delay_cascade_batch",
     "fine_delay_cascade_stream",
 ]
@@ -682,7 +680,9 @@ def fine_delay_cascade_batch(
                 hysteresis,
                 stage.corner,
                 stage.order,
-                typical_crossing_interval_batch(v_in, dt),
+                np.array(
+                    [typical_crossing_interval(lane, dt) for lane in v_in]
+                ),
             )
         else:
             target = amplitude * limited
@@ -695,27 +695,6 @@ def fine_delay_cascade_batch(
         )
         x = filtered
     return x
-
-
-def match_edges_batch(
-    ref_edges: np.ndarray,
-    out_edges: list,
-    coarse: np.ndarray,
-    max_edge_offset: float,
-) -> list:
-    """Match one shared reference edge list against many ragged lanes."""
-    return [
-        match_edges(ref_edges, lane_edges, float(coarse[lane]), max_edge_offset)
-        for lane, lane_edges in enumerate(out_edges)
-    ]
-
-
-def hysteresis_crossings_batch(v: np.ndarray, hysteresis: np.ndarray) -> list:
-    """Comparator switches for every lane (ragged per-lane results)."""
-    return [
-        hysteresis_crossings(v[lane], float(hysteresis[lane]))
-        for lane in range(v.shape[0])
-    ]
 
 
 def nearest_edge_margin(

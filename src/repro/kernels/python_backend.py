@@ -1,11 +1,9 @@
 """Pure-Python reference implementations of the hot-loop kernels.
 
-These loops are the *semantic reference* for the kernel layer: every
-other backend must reproduce them — bit-exactly for the numba backend
-(same scalar operations, compiled), and within a documented tolerance
-for the vectorised numpy backend (same algebra, different evaluation
-order).  Keep them simple and obviously correct; speed is the other
-backends' job.
+These loops are the *semantic reference* for the kernel layer: the
+vectorised numpy backend must reproduce them within a documented
+tolerance (same algebra, different evaluation order).  Keep them
+simple and obviously correct; speed is the numpy backend's job.
 
 All functions receive pre-validated, contiguous ``float64`` arrays and
 plain Python scalars (the dispatch wrappers in
@@ -19,7 +17,7 @@ import math
 import numpy as np
 from scipy import signal as _scipy_signal
 
-from .cascade import typical_crossing_interval, typical_crossing_interval_batch
+from .cascade import typical_crossing_interval
 
 __all__ = [
     "slew_limit",
@@ -30,8 +28,6 @@ __all__ = [
     "nearest_edge_margin",
     "slew_limit_batch",
     "compressive_slew_limit_batch",
-    "match_edges_batch",
-    "hysteresis_crossings_batch",
     "fine_delay_cascade_batch",
     "fine_delay_cascade_stream",
 ]
@@ -331,31 +327,6 @@ def compressive_slew_limit_batch(
     return out
 
 
-def match_edges_batch(
-    ref_edges: np.ndarray,
-    out_edges: list,
-    coarse: np.ndarray,
-    max_edge_offset: float,
-) -> list:
-    """Match one shared reference edge list against many lanes.
-
-    Lanes are ragged (each lane extracts its own output edges), so the
-    result is a list of per-lane offset arrays.
-    """
-    return [
-        match_edges(ref_edges, lane_edges, float(coarse[lane]), max_edge_offset)
-        for lane, lane_edges in enumerate(out_edges)
-    ]
-
-
-def hysteresis_crossings_batch(v: np.ndarray, hysteresis: np.ndarray) -> list:
-    """Comparator switches for every lane of a ``(lanes, n)`` batch."""
-    return [
-        hysteresis_crossings(v[lane], float(hysteresis[lane]))
-        for lane in range(v.shape[0])
-    ]
-
-
 def fine_delay_cascade_stream(
     values: np.ndarray, stages, dt: float, states
 ) -> np.ndarray:
@@ -460,7 +431,9 @@ def fine_delay_cascade_batch(
                 hysteresis,
                 stage.corner,
                 stage.order,
-                typical_crossing_interval_batch(v_in, dt),
+                np.array(
+                    [typical_crossing_interval(lane, dt) for lane in v_in]
+                ),
             )
         else:
             target = amplitude * limited

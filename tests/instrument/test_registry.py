@@ -176,7 +176,7 @@ class TestProcessPoolAggregation:
 
 
 class TestKernelDispatchCounters:
-    @pytest.fixture(params=kernels.available_backends())
+    @pytest.fixture(params=kernels.BACKEND_NAMES)
     def backend(self, request):
         with kernels.use_backend(request.param) as name:
             yield name
@@ -202,7 +202,7 @@ class TestKernelDispatchCounters:
         ref_edges = np.arange(10, dtype=np.float64)
         out_edges = ref_edges + 0.25
         tallies = {}
-        for name in kernels.available_backends():
+        for name in kernels.BACKEND_NAMES:
             with kernels.use_backend(name):
                 with instrument.enabled_scope(reset=True) as registry:
                     kernels.slew_limit(x, 0.05)
@@ -215,7 +215,7 @@ class TestKernelDispatchCounters:
                 if key.endswith(".calls") or key.endswith(".samples")
                 if not key.startswith("kernels.backend.")
             }
-        reference = tallies[kernels.available_backends()[0]]
+        reference = tallies[kernels.BACKEND_NAMES[0]]
         for name, tally in tallies.items():
             assert tally == reference, f"{name} disagrees: {tally}"
 
