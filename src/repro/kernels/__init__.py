@@ -246,8 +246,9 @@ def slew_limit_batch(
     """Slew-limit every lane of a ``(lanes, samples)`` batch at once.
 
     Lane ``i`` of the result equals ``slew_limit(values[i], max_step,
-    initial[i])`` on the same backend — bit-exactly: the batch axis
-    changes how the work is scheduled, never what is computed.
+    initial[i])`` on the same backend: bit-exactly on python, to
+    floating-point rounding on numpy (whose batch kernel computes the
+    sequential recurrence, and whose single-lane kernel an event walk).
     *initial* may be a scalar, one value per lane, or ``None`` (each
     lane starts at its own first target).
     """

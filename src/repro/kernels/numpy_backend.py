@@ -17,10 +17,14 @@ catches the target).  Both regimes cover long runs of samples that can
 be emitted with one array operation each, so the Python-level loop
 runs once per edge instead of once per sample.
 
-The *batched* slew limiters use a different strategy — Jacobi
+The *batched* slew limiters use a different strategy — frontier
 relaxation (see :func:`_slew_limit_relax`) — because the per-event
 Python overhead of the walk is paid per lane, whereas a relaxation
-sweep is three array operations shared by every lane in the batch.
+sweep is a few array operations shared by every lane in the batch.
+One dense sweep over the whole batch is followed by sweeps over only
+the samples whose predecessor changed, so the cost tracks the ramping
+samples.  The result is the sequential recurrence bit for bit on every
+lane that settles within the sweep cap.
 """
 
 from __future__ import annotations
@@ -325,119 +329,86 @@ def hysteresis_crossings(
 #: settled by the cap fall back to the exact per-lane event walk.
 _RELAX_MAX_SWEEPS = 192
 
-#: Per-block working-set budget for the relaxation sweep loop.  Each
-#: sweep streams four ``(lanes, n)`` float64 arrays (targets, delta,
-#: and the two iterates), so wide packs blow past the last-level cache
-#: and every sweep runs at DRAM speed — measured ~2.7x slower per lane
-#: at 80 lanes than at 16 on the simulator's record lengths.  Blocking
-#: the lane axis keeps each sweep cache-resident; lanes are mutually
-#: independent, so the per-lane fixed point (and hence every result
-#: bit) is unchanged, and narrow blocks converge in *fewer* sweeps
-#: because each block stops at its own longest clamped run.
-_RELAX_BLOCK_BYTES = 32 * 2**20
-
 
 def _slew_limit_relax(
     targets: np.ndarray, max_step, initials: np.ndarray
 ) -> np.ndarray:
-    """Lane-blocked driver for :func:`_slew_limit_relax_block`.
+    """Lane-parallel slew limiting by frontier relaxation.
 
-    Splits wide batches into blocks sized so one relaxation sweep's
-    working set (four float64 rows per lane) fits in
-    ``_RELAX_BLOCK_BYTES``.  Per-lane results are bit-for-bit identical
-    to a single unblocked call: every sweep is an elementwise
-    recurrence within a lane, so a lane's fixed point cannot depend on
-    which other lanes share its block.
-    """
-    n_lanes, n = targets.shape
-    block = max(1, _RELAX_BLOCK_BYTES // (32 * max(1, n)))
-    if n_lanes <= block:
-        return _slew_limit_relax_block(targets, max_step, initials)
-    out = np.empty_like(targets)
-    per_lane_step = isinstance(max_step, np.ndarray)
-    for start in range(0, n_lanes, block):
-        stop = min(start + block, n_lanes)
-        step = (
-            max_step.reshape(-1)[start:stop] if per_lane_step else max_step
-        )
-        out[start:stop] = _slew_limit_relax_block(
-            targets[start:stop], step, initials[start:stop]
-        )
-    return out
+    Iterates the Jacobi sweep ``y[i] = y[i-1] + clip(t[i] - y[i-1], ±s)``
+    (``y[-1]`` is the lane's initial level) from ``y = t``.  Its fixed
+    point is the sequential recurrence itself, bit for bit: a sample
+    whose predecessor holds its final value recomputes exactly the
+    sequential update.  Sweep 1 runs over the whole ``(lanes, n)``
+    batch.  A later sweep can change sample ``i`` only if the sweep
+    before it changed sample ``i - 1`` of the same lane, so every sweep
+    gathers just the successors of the previous sweep's changed samples
+    (the frontier), updates them with the same three float64 operations
+    from their predecessors' values, and scatters back the ones that
+    moved, which form the next frontier.  Past the dense first sweep,
+    the work tracks the clamped (ramping) samples, not
+    ``lanes × n × sweeps``, and lanes never interact, so a lane's
+    result does not depend on the batch it rides in.
 
-
-def _slew_limit_relax_block(
-    targets: np.ndarray, max_step, initials: np.ndarray
-) -> np.ndarray:
-    """Lane-parallel slew limiting by Jacobi fixed-point relaxation.
-
-    The recurrence ``y[i] = clip(t[i], y[i-1] - s, y[i-1] + s)`` has
-    exactly one fixed point — the sequential solution — and it is
-    reached by repeatedly applying the update to the whole record at
-    once: after ``k`` sweeps every sample whose dependency chain
-    (longest run of consecutively clamped samples) is shorter than
-    ``k`` holds its final value, and two equal consecutive sweeps mean
-    every lane sits on its fixed point.  Each sweep is three array
-    operations over the full ``(lanes, n)`` batch, so unlike the
-    single-lane event walk (Python-level loop, run once per lane) the
-    cost is shared by every lane in the batch.  Values agree with the
-    walk to floating-point rounding, not bit-exactly, because the
-    clamp arithmetic differs (``clip`` against a moving band versus
-    explicit ramp levels).
+    Lanes that still have a frontier after ``_RELAX_MAX_SWEEPS`` sweeps
+    (a ramp longer than the cap) are redone by the exact event walk
+    :func:`slew_limit`, which agrees with the recurrence to rounding.
 
     *max_step* is a shared float or a per-lane array (pack plans carry
-    per-instance slew rates); the clip bounds broadcast either way.
+    per-instance slew rates).
     """
     n_lanes, n = targets.shape
     if n == 0:
         return np.empty_like(targets)
     lane_steps = None
+    step = max_step
     if isinstance(max_step, np.ndarray):
         lane_steps = max_step.reshape(-1)
-        max_step = lane_steps[:, None]
-    # Column 0 pins the virtual sample before the record (the initial
-    # level); columns 1..n hold the current iterate.  Each sweep applies
-    # ``y_new = y_prev + clip(t - y_prev, -s, +s)`` — three array passes
-    # with scalar clip bounds, no per-sweep temporaries.
-    current = np.empty((n_lanes, n + 1))
-    proposed = np.empty((n_lanes, n + 1))
-    current[:, 0] = initials
-    proposed[:, 0] = initials
-    current[:, 1:] = targets
-    delta = np.empty((n_lanes, n))
-    max_sweeps = min(n, _RELAX_MAX_SWEEPS)
-    for sweep in range(max_sweeps):
-        np.subtract(targets, current[:, :-1], out=delta)
-        np.clip(delta, -max_step, max_step, out=delta)
-        np.add(current[:, :-1], delta, out=proposed[:, 1:])
-        # Equality of consecutive sweeps is the (unique) fixed point;
-        # checking costs a pass, so sample it.
-        if (sweep & 3) == 3 and np.array_equal(
-            current[:, 1:], proposed[:, 1:]
-        ):
-            return proposed[:, 1:]
-        current, proposed = proposed, current
-    if np.array_equal(current[:, 1:], proposed[:, 1:]):
-        return current[:, 1:]
-    result = current[:, 1:].copy()
-    stale = np.flatnonzero(
-        np.any(current[:, 1:] != proposed[:, 1:], axis=1)
-    )
-    for lane in stale:
-        step = max_step if lane_steps is None else float(lane_steps[lane])
-        result[lane] = slew_limit(
-            targets[lane], step, float(initials[lane])
-        )
-    return result
+        step = lane_steps[:, None]
+    # Sweep 1, dense: the predecessor of sample 0 is the initial level,
+    # of every other sample its own target.
+    out = np.empty((n_lanes, n))
+    out[:, 0] = initials
+    out[:, 1:] = targets[:, :-1]
+    delta = np.subtract(targets, out)
+    np.clip(delta, -step, step, out=delta)
+    out += delta
+    del delta
+    # "Moved" compares bit patterns, so a flip of the sign of zero
+    # propagates like any other change.
+    flat_targets = targets.reshape(-1)
+    flat_out = out.reshape(-1)
+    out_bits = flat_out.view(np.int64)
+    moved = np.flatnonzero(out_bits != flat_targets.view(np.int64))
+    for _ in range(1, min(n, _RELAX_MAX_SWEEPS)):
+        if moved.size == 0:
+            break
+        index = moved[moved % n != n - 1] + 1
+        # Gather every predecessor before scattering (Jacobi order).
+        before = flat_out[index - 1]
+        update = np.subtract(flat_targets[index], before)
+        if lane_steps is None:
+            np.clip(update, -step, step, out=update)
+        else:
+            bound = lane_steps[index // n]
+            np.clip(update, -bound, bound, out=update)
+        update += before
+        changed = update.view(np.int64) != out_bits[index]
+        moved = index[changed]
+        flat_out[moved] = update[changed]
+    for lane in np.unique(moved // n):
+        lane_step = step if lane_steps is None else float(lane_steps[lane])
+        out[lane] = slew_limit(targets[lane], lane_step, float(initials[lane]))
+    return out
 
 
 def slew_limit_batch(
     values: np.ndarray, max_step, initials: np.ndarray
 ) -> np.ndarray:
-    """Slew limiting of a ``(lanes, n)`` batch by Jacobi relaxation.
+    """Slew limiting of a ``(lanes, n)`` batch by frontier relaxation.
 
     See :func:`_slew_limit_relax`; lanes agree with sequential
-    single-lane calls to floating-point rounding.
+    single-lane calls (the event walk) to floating-point rounding.
     """
     return _slew_limit_relax(
         values, max_step, np.asarray(initials, dtype=np.float64)
@@ -461,7 +432,7 @@ def compressive_slew_limit_batch(
     fill in 2-D (integer operations, so row ``i`` is bit-for-bit the
     single-lane fill), the sparse per-flip scale algebra flattened
     across all lanes' flips, and the slew recurrence as a lane-parallel
-    Jacobi relaxation (:func:`_slew_limit_relax`).  Each lane's target
+    frontier relaxation (:func:`_slew_limit_relax`).  Each lane's target
     is the same quantity an unprimed :func:`_compressive_target_carry`
     computes, evaluated with array ops over the pooled flips, so lanes
     agree with sequential single-lane calls to floating-point rounding.
@@ -547,7 +518,10 @@ def compressive_slew_limit_batch(
 # precomputed keys; a relaxation sweep is three array passes shared by
 # the whole record but must run once per sample of the longest ramp.
 # Constants were measured on the development host; they only need to
-# rank the two strategies, not predict absolute times.
+# rank the two strategies, not predict absolute times.  They describe
+# the dense sweep loop that frontier relaxation replaced, so they
+# overstate relaxation; refitting them changes which strategy a stage
+# runs, which moves result bits within the 0.01 ps contract.
 _WALK_COST_PER_EVENT = 4e-6
 _WALK_COST_PER_EVENT_SAMPLE = 0.45e-9
 _RELAX_COST_PER_SWEEP_SAMPLE = 2.1e-9
@@ -653,7 +627,7 @@ def fine_delay_cascade_batch(
     """Fused cascade over a ``(lanes, samples)`` batch.
 
     The per-stage work reuses the batched kernels (pooled-flips
-    compression decomposition + lane-parallel Jacobi relaxation), with
+    compression decomposition + lane-parallel frontier relaxation), with
     the stage filter applied across the whole batch from the plan's
     precomputed settled state.
     """

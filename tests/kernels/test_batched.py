@@ -17,11 +17,14 @@ signal regimes the simulator produces.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.analysis import measure_delay, measure_delays_batch
 from repro.circuits import VariableGainBuffer, limiting_stage_batch, spawn_rngs
 from repro.core import calibration_stimulus
+from repro.kernels import numpy_backend
 from repro.signals import WaveformBatch
 
 ALL_BACKENDS = kernels.BACKEND_NAMES
@@ -110,6 +113,124 @@ class TestSlewLimitBatch:
         with kernels.use_backend("numpy"):
             vectorised = kernels.slew_limit_batch(values, 0.04)
         np.testing.assert_allclose(vectorised, reference, atol=1e-9, rtol=0)
+
+
+def _sequential(targets, step, initial):
+    """The slew recurrence as a plain-Python loop."""
+    y = initial
+    out = []
+    for t in targets:
+        y = y + min(max(t - y, -step), step)
+        out.append(y)
+    return np.array(out, dtype=np.float64)
+
+
+def _settles(targets, step, initial):
+    """Whether Jacobi sweeps from ``y = t`` stop changing any bit
+    within the numpy kernel's sweep cap (else it walks the lane)."""
+    y = list(targets)
+    for _ in range(min(len(y), numpy_backend._RELAX_MAX_SWEEPS)):
+        before = [initial] + y[:-1]
+        swept = [p + min(max(t - p, -step), step) for t, p in zip(targets, before)]
+        if np.array(swept).tobytes() == np.array(y).tobytes():
+            return True
+        y = swept
+    return False
+
+
+_level = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def _slew_batches(draw):
+    """``(targets, max_step, initials)``: scalar or per-lane step."""
+    n_lanes = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 40))
+    rows = draw(
+        st.lists(
+            st.lists(_level, min_size=n, max_size=n),
+            min_size=n_lanes,
+            max_size=n_lanes,
+        )
+    )
+    step = st.floats(min_value=1e-3, max_value=1.5)
+    if draw(st.booleans()):
+        max_step = draw(step)
+    else:
+        max_step = np.array(
+            draw(st.lists(step, min_size=n_lanes, max_size=n_lanes))
+        )
+    initials = draw(st.lists(_level, min_size=n_lanes, max_size=n_lanes))
+    return (
+        np.array(rows, dtype=np.float64).reshape(n_lanes, n),
+        max_step,
+        np.array(initials, dtype=np.float64),
+    )
+
+
+class TestFrontierRelaxation:
+    """The numpy batch slew limiter is the sequential recurrence, bit for bit."""
+
+    @given(_slew_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_settled_lanes_equal_the_sequential_loop(self, batch):
+        targets, max_step, initials = batch
+        out = numpy_backend.slew_limit_batch(targets, max_step, initials)
+        assert out.shape == targets.shape
+        steps = np.broadcast_to(max_step, initials.shape)
+        for lane in range(targets.shape[0]):
+            args = (list(targets[lane]), float(steps[lane]), float(initials[lane]))
+            if _settles(*args):
+                assert out[lane].tobytes() == _sequential(*args).tobytes()
+
+    @given(_slew_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_lanes_are_independent(self, batch):
+        targets, max_step, initials = batch
+        out = numpy_backend.slew_limit_batch(targets, max_step, initials)
+        for lane in range(targets.shape[0]):
+            step = max_step
+            if isinstance(max_step, np.ndarray):
+                step = max_step[lane : lane + 1]
+            alone = numpy_backend.slew_limit_batch(
+                targets[lane : lane + 1], step, initials[lane : lane + 1]
+            )
+            assert out[lane].tobytes() == alone[0].tobytes()
+
+    def test_corpus_lanes_settle_and_match(self):
+        # At this step every corpus lane catches its target within the
+        # cap, so none of them leans on the walk.
+        values = _lane_corpus()
+        initials = np.linspace(-0.5, 0.5, values.shape[0])
+        out = numpy_backend.slew_limit_batch(values, 0.15, initials)
+        for lane in range(values.shape[0]):
+            args = (list(values[lane]), 0.15, float(initials[lane]))
+            assert _settles(*args)
+            assert out[lane].tobytes() == _sequential(*args).tobytes()
+
+    def test_ramp_past_the_cap_takes_the_walk(self, monkeypatch):
+        cap = numpy_backend._RELAX_MAX_SWEEPS
+        step = 0.004  # a 0 -> 1 ramp spans 250 samples, beyond the cap
+        ramp = np.concatenate([np.zeros(20), np.ones(cap + 200)])
+        flat = np.full_like(ramp, 0.25)
+        targets = np.stack([flat, ramp])
+        walked = []
+        walk = numpy_backend.slew_limit
+
+        def spy(values, max_step, initial):
+            walked.append(values.size)
+            return walk(values, max_step, initial)
+
+        monkeypatch.setattr(numpy_backend, "slew_limit", spy)
+        out = numpy_backend.slew_limit_batch(targets, step, np.zeros(2))
+        assert walked == [ramp.size]
+        np.testing.assert_allclose(
+            out[1], walk(ramp, step, 0.0), atol=1e-12, rtol=0
+        )
+        np.testing.assert_allclose(
+            out[1], _sequential(list(ramp), step, 0.0), atol=1e-12, rtol=0
+        )
+        assert out[0].tobytes() == _sequential(list(flat), step, 0.0).tobytes()
 
 
 class TestCompressiveSlewLimitBatch:
