@@ -391,9 +391,10 @@ def process_lines_pack(
     Falls back to per-lane sequential processing when the lines differ
     structurally, so the result is always what the per-lane loop would
     produce; on the python kernel backend the fused path is bit-exact
-    against that loop.  A single lane also runs as that loop: the
-    scalar cascade picks event walk or relaxation per stage on numpy,
-    where the batch kernel always relaxes.
+    against that loop.  A single lane also runs as that loop, which
+    keeps its bits on numpy: the loop's fanout and mux stages run the
+    per-stage kernels (event-walk slew), where the packed path's
+    batched fanout and mux always relax.
 
     *rngs* supplies lane *i*'s noise stream; ``None`` uses each line's
     own private generator — matching ``lines[i].process(lane, None)``.

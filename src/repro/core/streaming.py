@@ -9,8 +9,9 @@ the engine carries every per-sample recurrence across the boundaries:
 
 * the fused-cascade kernel state (comparator flips, compression scale,
   slew tracker, one-pole filter memory) via
-  :class:`~repro.kernels.cascade.CascadeStageState` and the
-  ``fine_delay_cascade_stream`` kernels;
+  :class:`~repro.kernels.cascade.CascadeStageState`, carried through
+  one-lane calls of the cascade kernel
+  (:func:`repro.kernels.fine_delay_cascade_stream`);
 * the per-stage noise generator position, noise-shaping filter state
   and RMS normalisation (:class:`_NoiseStream`);
 * the transmission-line dispersion filter state;

@@ -19,10 +19,14 @@ Select with the ``REPRO_KERNELS`` environment variable or
 :func:`set_backend` / :func:`use_backend`; the default (``auto``) is
 numpy.  See DESIGN.md §"Kernel layer".
 
-Each backend has one fused cascade per record shape:
-``fine_delay_cascade_stream`` (one lane, carried per-stage state) and
-``fine_delay_cascade_batch`` (``(lanes, samples)``).  The public
-:func:`fine_delay_cascade` is the stream kernel on fresh state.
+Each backend has one fused cascade kernel,
+``fine_delay_cascade(values, stages, dt, states)``, over a
+``(lanes, samples)`` record with one per-lane carry state per stage.
+The three public cascade entries are thin callers of it:
+:func:`fine_delay_cascade` (one whole record, fresh state),
+:func:`fine_delay_cascade_stream` (one chunk, carried state) and
+:func:`fine_delay_cascade_batch` (many lanes, fresh state).  Each
+records its own op counters.
 """
 
 from __future__ import annotations
@@ -348,6 +352,48 @@ def match_edges_batch(
     )
 
 
+def _cascade(
+    op: str,
+    values,
+    stages: Sequence[CascadeStage],
+    dt: float,
+    states: Optional[Sequence[CascadeStageState]],
+    ndim: int,
+) -> np.ndarray:
+    """The input normaliser the three cascade entries share.
+
+    Checks the record (*ndim* dimensions, at least one sample) and the
+    carry states against the stages, then runs the backend kernel on
+    the record's ``(lanes, samples)`` view under op name *op* (on fresh
+    states when *states* is ``None``) and returns the output in the
+    record's own shape.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != ndim or values.size == 0:
+        shape = "(samples,)" if ndim == 1 else "(lanes, samples)"
+        raise CircuitError(
+            f"{op} needs a non-empty {shape} record, got shape "
+            f"{values.shape}"
+        )
+    stages = list(stages)
+    if states is None:
+        states = fresh_cascade_state(len(stages))
+    elif len(states) != len(stages):
+        raise CircuitError(
+            f"need one carry state per stage: {len(stages)} stages, "
+            f"{len(states)} states"
+        )
+    lanes = values.reshape(-1, values.shape[-1])
+    out = _run(
+        op,
+        values.size * max(1, len(stages)),
+        lambda: get_backend().fine_delay_cascade(
+            lanes, stages, float(dt), list(states)
+        ),
+    )
+    return out.reshape(values.shape)
+
+
 def fine_delay_cascade(
     values: np.ndarray,
     stages: Sequence[CascadeStage],
@@ -361,18 +407,11 @@ def fine_delay_cascade(
     identical to :func:`repro.circuits.vga_buffer.limiting_stage`
     chained N times, minus the per-stage Waveform round-trips.
 
-    This is the backend's stream kernel on fresh state: the whole
-    record is one chunk.  It records its own ``fine_delay_cascade`` op
-    counters, distinct from :func:`fine_delay_cascade_stream`.
+    This is the backend's cascade kernel on one lane and fresh state:
+    the whole record is one chunk.  It records its own
+    ``fine_delay_cascade`` op counters.
     """
-    values = _as_float_array(values)
-    return _run(
-        "fine_delay_cascade",
-        values.size * max(1, len(stages)),
-        lambda: get_backend().fine_delay_cascade_stream(
-            values, list(stages), float(dt), fresh_cascade_state(len(stages))
-        ),
-    )
+    return _cascade("fine_delay_cascade", values, stages, dt, None, 1)
 
 
 def fine_delay_cascade_stream(
@@ -388,20 +427,11 @@ def fine_delay_cascade_stream(
     comparator, compression, slew-tracker, filter and frozen-statistics
     state across successive calls, so feeding the chunks of a split
     record through this kernel reproduces one whole-record call — see
-    :mod:`repro.core.streaming` for the chunk invariants.
+    :mod:`repro.core.streaming` for the chunk invariants.  The chunk
+    is one lane.
     """
-    if len(stages) != len(states):
-        raise CircuitError(
-            f"need one carry state per stage: {len(stages)} stages, "
-            f"{len(states)} states"
-        )
-    values = _as_float_array(values)
-    return _run(
-        "fine_delay_cascade_stream",
-        values.size * max(1, len(stages)),
-        lambda: get_backend().fine_delay_cascade_stream(
-            values, list(stages), float(dt), list(states)
-        ),
+    return _cascade(
+        "fine_delay_cascade_stream", values, stages, dt, states, 1
     )
 
 
@@ -416,11 +446,4 @@ def fine_delay_cascade_batch(
     amplitude columns, ``(n_lanes, n)`` noise), so lane ``i`` of the
     result matches the scalar cascade run on lane ``i`` alone.
     """
-    values = _as_float_matrix(values, "values")
-    return _run(
-        "fine_delay_cascade_batch",
-        values.size * max(1, len(stages)),
-        lambda: get_backend().fine_delay_cascade_batch(
-            values, list(stages), float(dt)
-        ),
-    )
+    return _cascade("fine_delay_cascade_batch", values, stages, dt, None, 2)

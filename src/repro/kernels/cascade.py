@@ -1,15 +1,16 @@
-"""Shared plumbing for the fused buffer-cascade kernels.
+"""Shared plumbing for the fused buffer-cascade kernel.
 
 The fine delay line is an N-stage cascade of identical limiting-buffer
 stages (slew-limit -> one-pole filter -> noise -> next stage).  Running
 it stage by stage through :class:`~repro.signals.waveform.Waveform`
 objects costs ~2(N+1) full-record allocations plus per-stage dispatch,
 filter-state solves and validation passes — overhead that dominates the
-cascade's runtime for typical record lengths.  The fused kernels
-(``fine_delay_cascade_stream`` / ``fine_delay_cascade_batch`` in each
-backend) take the raw input samples plus a pre-built per-stage
-parameter plan and run the whole chain in one call; a whole record is
-one stream call on fresh state.
+cascade's runtime for typical record lengths.  Each backend has one
+fused kernel, ``fine_delay_cascade(values, stages, dt, states)``, that
+takes a ``(lanes, samples)`` record, a pre-built per-stage parameter
+plan and one carry state per stage, and runs the whole chain in one
+call.  A whole record or a batch is a call on fresh states; a stream
+chunk is a call on the states the previous chunk left.
 
 This module holds what the two backends and the plan builder share:
 
@@ -17,7 +18,7 @@ This module holds what the two backends and the plan builder share:
   (amplitude target, slew step, compression law, filter coefficients,
   pre-generated noise);
 * :class:`CascadeStageState` / :func:`fresh_cascade_state` — the
-  per-stage carry of the stream kernel;
+  per-stage, per-lane carry of the kernel;
 * :func:`typical_crossing_interval` — the compression-state seeding
   helper, moved here from ``repro.circuits.vga_buffer`` so backends can
   use it without importing the circuit layer.
@@ -99,57 +100,57 @@ class CascadeStage:
 
 @dataclass
 class CascadeStageState:
-    """Carried state of one cascade stage across chunk boundaries.
+    """Carried state of one cascade stage, one entry per lane.
 
-    The streaming kernels (``fine_delay_cascade_stream``) thread one of
-    these per stage through successive calls, so a chunked run continues
-    the per-sample recurrences — comparator flips, compression-scale
-    decay, slew tracking, filter memory — exactly where the previous
-    chunk left them.
+    The cascade kernel threads one of these per stage through
+    successive calls, so a chunked run continues each lane's
+    per-sample recurrences — comparator flips, compression-scale decay,
+    slew tracking, filter memory — exactly where the previous chunk
+    left them.  Every array member holds one entry (or, for
+    ``filter_zi``, one row) per lane.
 
     Two kinds of members live here:
 
     * **Frozen whole-record statistics** (``hysteresis``,
       ``initial_interval``): a whole-record call derives these from the
       full record (a percentile swing estimate and the median crossing
-      interval).  A stream cannot see the full record, so they are
-      frozen once — by a priming pass, or from the first chunk — and
-      reused for every subsequent chunk.
+      interval of each lane).  A stream cannot see the full record, so
+      they are frozen once — by a priming pass, or from the first
+      chunk — and reused for every subsequent chunk.
     * **Dynamic recurrence state** (``comp_state``, ``elapsed``,
-      ``scale``, ``slew_y``, ``filter_zi``): read at the top of each
-      kernel call and written back at the bottom.
+      ``scale``, ``slew_y``, ``filter_zi``): written at the bottom of
+      each kernel call and read at the top of the next.
 
-    ``primed`` distinguishes a fresh state (kernel performs the
-    first-sample initialisation from this chunk) from a carried one.
+    ``primed`` distinguishes a fresh state (the kernel seeds every
+    lane's recurrences from this chunk's first sample) from a carried
+    one.
     """
 
-    hysteresis: Optional[float] = None
-    initial_interval: Optional[float] = None
-    comp_state: int = 0  # +1/-1 comparator state; 0 = unprimed
-    elapsed: float = 0.0
-    scale: float = 1.0
-    slew_y: float = 0.0
+    hysteresis: Optional[np.ndarray] = None
+    initial_interval: Optional[np.ndarray] = None
+    comp_state: Optional[np.ndarray] = None  # +1/-1 comparator state
+    elapsed: Optional[np.ndarray] = None
+    scale: Optional[np.ndarray] = None
+    slew_y: Optional[np.ndarray] = None
     filter_zi: Optional[np.ndarray] = None
     primed: bool = False
 
-    def freeze_stats(self, hysteresis: float, initial_interval: float) -> None:
-        """Pin the whole-record statistics without touching dynamics."""
-        self.hysteresis = float(hysteresis)
-        self.initial_interval = float(initial_interval)
+    def freeze_stats(self, hysteresis, initial_interval) -> None:
+        """Pin the whole-record statistics (one value per lane)."""
+        self.hysteresis = np.array(hysteresis, dtype=np.float64).reshape(-1)
+        self.initial_interval = np.array(
+            initial_interval, dtype=np.float64
+        ).reshape(-1)
 
-    def rearm(self) -> None:
-        """Reset the dynamic recurrences, keeping any frozen statistics.
-
-        Used after a priming pass: the stream keeps the statistics the
-        prime established but must re-run the first-sample
-        initialisation on the first real data chunk.
-        """
-        self.comp_state = 0
-        self.elapsed = 0.0
-        self.scale = 1.0
-        self.slew_y = 0.0
-        self.filter_zi = None
-        self.primed = False
+    def freeze_from(self, v_in: np.ndarray, dt: float) -> None:
+        """Freeze the statistics of the ``(lanes, n)`` record *v_in*,
+        unless a prime or an earlier chunk already froze them."""
+        if self.hysteresis is None:
+            upper, lower = np.percentile(v_in, (98.0, 2.0), axis=1)
+            self.freeze_stats(
+                0.3 * ((upper - lower) / 2.0),
+                [typical_crossing_interval(lane, dt) for lane in v_in],
+            )
 
 
 def fresh_cascade_state(n_stages: int) -> "list[CascadeStageState]":

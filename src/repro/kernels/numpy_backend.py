@@ -25,6 +25,14 @@ One dense sweep over the whole batch is followed by sweeps over only
 the samples whose predecessor changed, so the cost tracks the ramping
 samples.  The result is the sequential recurrence bit for bit on every
 lane that settles within the sweep cap.
+
+The fused cascade is one kernel, :func:`fine_delay_cascade`, over a
+``(lanes, samples)`` record with per-lane carried state.  Its slew
+strategy keys on the lane count: one lane takes the walk or the
+relaxation, whichever the cost model in :func:`_cascade_slew` prefers;
+several lanes always relax together.  One target builder,
+:func:`_compressive_target`, serves the cascade and both compressive
+slew limiters.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import signal as _scipy_signal
 
-from .cascade import typical_crossing_interval
+from .cascade import CascadeStageState
 
 __all__ = [
     "slew_limit",
@@ -42,8 +50,7 @@ __all__ = [
     "nearest_edge_margin",
     "slew_limit_batch",
     "compressive_slew_limit_batch",
-    "fine_delay_cascade_batch",
-    "fine_delay_cascade_stream",
+    "fine_delay_cascade",
 ]
 
 
@@ -136,83 +143,6 @@ def slew_limit(
     return out
 
 
-def _compressive_target_carry(
-    v_in: np.ndarray,
-    target_floor: np.ndarray,
-    target_extra: np.ndarray,
-    dt: float,
-    hysteresis: float,
-    corner: float,
-    order: int,
-    initial_interval: float,
-    comp_state: int,
-    elapsed_in: float,
-    scale_in: float,
-    primed: bool,
-) -> "tuple[np.ndarray, float, int, int, float, float]":
-    """Per-sample slew target, initial level and flip count of one lane.
-
-    The comparator flips are pure functions of *v_in* and the
-    hysteresis band, so the per-half-cycle excursion scales can be
-    computed for all flips at once and expanded to a per-sample target
-    with :func:`numpy.repeat`.  The flip count feeds the fused
-    cascade's walk-vs-relax cost model.
-
-    Fresh (unprimed) calls seed the comparator from the first sample
-    and the compression state from *initial_interval*, as if the signal
-    had been toggling at its own rate forever; primed calls seed the
-    forward fill with the carried comparator state, time the first flip
-    from the carried half-cycle age, and hold the carried compression
-    scale until that flip.
-
-    The outgoing ``elapsed`` is computed as ``(n - last_flip) * dt``
-    rather than by the reference loop's repeated ``+= dt`` — the same
-    quantity up to float rounding, which is within this backend's
-    documented tolerance (the python backend carries the exact value).
-
-    Returns ``(target, y0, n_flips, comp_state, elapsed, scale)``.
-    """
-    n = len(target_extra)
-    inv_2corner = 1.0 / (2.0 * corner)
-    if not primed:
-        comp_state = 1 if v_in[0] > 0.0 else -1
-        elapsed_in = initial_interval
-        scale_in = 1.0 / (1.0 + (inv_2corner / initial_interval) ** order)
-    tri = np.zeros(n, dtype=np.int8)
-    tri[v_in > hysteresis] = 1
-    tri[v_in < -hysteresis] = -1
-    prefixed = np.empty(n + 1, dtype=np.int8)
-    prefixed[0] = comp_state
-    prefixed[1:] = tri
-    fill_index = np.zeros(n + 1, dtype=np.int64)
-    decided = np.flatnonzero(prefixed)
-    fill_index[decided] = decided
-    fill_index = np.maximum.accumulate(fill_index)
-    filled = prefixed[fill_index]
-    flips = np.flatnonzero(filled[1:] != filled[:-1])  # sample indices
-    if flips.size == 0:
-        scale = np.full(n, scale_in)
-        elapsed_out = elapsed_in + n * dt
-        scale_out = scale_in
-    else:
-        elapsed = np.empty(flips.size)
-        elapsed[0] = elapsed_in + flips[0] * dt
-        elapsed[1:] = np.diff(flips) * dt
-        flip_scales = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
-        lengths = np.empty(flips.size + 1, dtype=np.int64)
-        lengths[0] = flips[0]
-        lengths[1:-1] = np.diff(flips)
-        lengths[-1] = n - flips[-1]
-        scale = np.repeat(
-            np.concatenate([[scale_in], flip_scales]), lengths
-        )
-        elapsed_out = float((n - flips[-1]) * dt)
-        scale_out = float(flip_scales[-1])
-    target = target_floor + scale * target_extra
-    y0 = float(target_floor[0]) + scale_in * float(target_extra[0])
-    return target, y0, int(flips.size), int(filled[-1]), elapsed_out, scale_out
-
-
 def compressive_slew_limit(
     v_in: np.ndarray,
     target_floor: np.ndarray,
@@ -226,25 +156,22 @@ def compressive_slew_limit(
 ) -> np.ndarray:
     """Vectorised compression comparator feeding the slew limiter.
 
-    The per-sample target comes from an unprimed
-    :func:`_compressive_target_carry`; the result then runs through the
-    event-vectorised :func:`slew_limit`.
+    The per-sample target comes from :func:`_compressive_target` on one
+    fresh lane; the result then runs through the event walk
+    :func:`slew_limit`.
     """
-    target, y0, *_carry = _compressive_target_carry(
-        v_in,
-        target_floor,
-        target_extra,
+    carry = CascadeStageState()
+    carry.freeze_stats([hysteresis], [initial_interval])
+    target, y0, _ = _compressive_target(
+        v_in[None, :],
+        target_floor[None, :],
+        target_extra[None, :],
         dt,
-        hysteresis,
         corner,
         order,
-        initial_interval,
-        0,
-        0.0,
-        1.0,
-        primed=False,
+        carry,
     )
-    return slew_limit(target, max_step, y0)
+    return slew_limit(target[0], max_step, float(y0[0]))
 
 
 def match_edges(
@@ -415,6 +342,117 @@ def slew_limit_batch(
     )
 
 
+def _compressive_target(
+    v_in: np.ndarray,
+    target_floor: np.ndarray,
+    target_extra: np.ndarray,
+    dt: float,
+    corner: float,
+    order: int,
+    carry: CascadeStageState,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Per-sample compressed slew target of every lane of a batch.
+
+    The comparator flips are pure functions of *v_in* and each lane's
+    frozen hysteresis band (``carry``), so everything runs on the whole
+    ``(lanes, n)`` batch at once: the comparator decisions and their
+    flips over the flattened batch (integer operations), the sparse
+    per-flip scale algebra across all lanes' flips, and one flat repeat
+    back to per-sample scales.
+
+    A fresh (unprimed) *carry* seeds each lane's comparator from its
+    first sample and its compression state from its frozen
+    ``initial_interval``, as if the signal had been toggling at its own
+    rate forever; a primed one starts from the carried comparator
+    state, times each lane's first flip from the carried half-cycle
+    age, and holds the carried scale until that flip.  The outgoing
+    comparator state, half-cycle age and scale are written back to
+    *carry*.
+
+    Returns ``(target, y_start, n_flips)``: the slew target, each lane's
+    initial tracker level (the carried ``slew_y`` when primed) and each
+    lane's flip count, which feeds the cascade's walk-vs-relax cost
+    model.
+    """
+    n_lanes, n = v_in.shape
+    inv_2corner = 1.0 / (2.0 * corner)
+    if carry.primed:
+        elapsed_in, scale_in = carry.elapsed, carry.scale
+        comp_state = carry.comp_state
+    else:
+        elapsed_in = carry.initial_interval
+        # The seed uses Python-float ``**`` per lane, as the reference
+        # loop does: ``np.power`` can differ from it in the last bit.
+        scale_in = np.array(
+            [
+                1.0 / (1.0 + (inv_2corner / interval) ** order)
+                for interval in elapsed_in.tolist()
+            ]
+        )
+        comp_state = np.where(v_in[:, 0] > 0.0, 1, -1)
+    band = carry.hysteresis[:, None]
+    # Each lane's incoming comparator state, then its decisions: +1
+    # above the band, -1 below it, 0 inside.
+    prefixed = np.empty((n_lanes, n + 1), dtype=np.int8)
+    prefixed[:, 0] = comp_state
+    np.subtract(
+        (v_in > band).view(np.int8),
+        (v_in < -band).view(np.int8),
+        out=prefixed[:, 1:],
+    )
+    # The state flips wherever a decision differs from the lane's last
+    # decision before it.  Every row starts decided (+1/-1), so scanning
+    # the decisions of the flattened batch in order compares one lane
+    # with another only at a lane's first slot, which is not a flip.
+    flat = prefixed.reshape(-1)
+    decided = np.flatnonzero(flat)
+    states = flat[decided]
+    turns = decided[1:][states[1:] != states[:-1]]
+    turn_lanes, turn_slots = np.divmod(turns, n + 1)
+    inside = turn_slots != 0
+    flip_lanes = turn_lanes[inside]
+    # Flip positions in the flattened (n_lanes * n) sample layout, in
+    # row-major order, so each lane's flips form one ascending run.
+    flips = (turns - turn_lanes - 1)[inside]
+    counts = np.bincount(flip_lanes, minlength=n_lanes)
+
+    # Segments of constant scale, in flat order: each lane's lead
+    # segment (its incoming scale from its first sample), then one per
+    # flip.  ``ends`` is the slot of each lane's last segment.
+    lanes = np.arange(n_lanes)
+    ends = lanes + counts.cumsum()
+    starts = ends - counts
+    is_flip = np.ones(flips.size + n_lanes, dtype=bool)
+    is_flip[starts] = False
+    seg_begin = np.empty(flips.size + n_lanes + 1, dtype=np.int64)
+    seg_begin[starts] = lanes * n
+    seg_begin[:-1][is_flip] = flips
+    seg_begin[-1] = n_lanes * n
+    seg_lengths = seg_begin[1:] - seg_begin[:-1]
+    # Each segment's age at its end: its length, plus, for a lead
+    # segment, the incoming half-cycle age.  A flip's interval is the
+    # age of the segment before it; the outgoing age is that of the
+    # lane's last segment — ``(n - last_flip) * dt`` rather than the
+    # reference loop's repeated ``+= dt`` (equal up to float rounding).
+    ages = seg_lengths * dt
+    ages[starts] += elapsed_in
+    seg_values = np.empty(flips.size + n_lanes)
+    seg_values[starts] = scale_in
+    elapsed = ages[:-1][is_flip[1:]]
+    seg_values[is_flip] = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
+    scale = np.repeat(seg_values, seg_lengths).reshape(n_lanes, n)
+    target = target_floor + scale * target_extra
+    if carry.primed:
+        y_start = carry.slew_y
+    else:
+        y_start = target_floor[:, 0] + scale_in * target_extra[:, 0]
+    # Each flip toggles the comparator.
+    carry.comp_state = comp_state * (-1) ** counts
+    carry.elapsed = ages[ends]
+    carry.scale = seg_values[ends]
+    return target, y_start, counts
+
+
 def compressive_slew_limit_batch(
     v_in: np.ndarray,
     target_floor: np.ndarray,
@@ -428,86 +466,16 @@ def compressive_slew_limit_batch(
 ) -> np.ndarray:
     """Lane-vectorised compression comparators feeding one relaxed slew.
 
-    Everything runs on the whole batch at once: the comparator state
-    fill in 2-D (integer operations, so row ``i`` is bit-for-bit the
-    single-lane fill), the sparse per-flip scale algebra flattened
-    across all lanes' flips, and the slew recurrence as a lane-parallel
-    frontier relaxation (:func:`_slew_limit_relax`).  Each lane's target
-    is the same quantity an unprimed :func:`_compressive_target_carry`
-    computes, evaluated with array ops over the pooled flips, so lanes
-    agree with sequential single-lane calls to floating-point rounding.
+    The target comes from :func:`_compressive_target` on fresh lanes;
+    the slew recurrence runs as a lane-parallel frontier relaxation
+    (:func:`_slew_limit_relax`), so lanes agree with sequential
+    single-lane calls to floating-point rounding.
     """
-    n_lanes, n = v_in.shape
-    band = hysteresis[:, None]
-    tri = np.zeros((n_lanes, n), dtype=np.int8)
-    tri[v_in > band] = 1
-    tri[v_in < -band] = -1
-    # Forward-fill undecided samples with the last decided state, seeded
-    # with each lane's initial comparator state.
-    prefixed = np.empty((n_lanes, n + 1), dtype=np.int8)
-    prefixed[:, 0] = np.where(v_in[:, 0] > 0.0, 1, -1)
-    prefixed[:, 1:] = tri
-    col = np.arange(n + 1, dtype=np.int32)
-    fill_index = np.where(prefixed != 0, col[None, :], 0)
-    np.maximum.accumulate(fill_index, axis=1, out=fill_index)
-    filled = np.take_along_axis(prefixed, fill_index, axis=1)
-    flip_mask = filled[:, 1:] != filled[:, :-1]  # flip at sample j
-
-    # Per-flip excursion scales for every lane at once.  ``np.nonzero``
-    # walks the mask in row-major order, so each lane's flips appear as
-    # one ascending run — segment bookkeeping per lane reduces to
-    # adjacent-element comparisons on the flat arrays.
-    inv_2corner = 1.0 / (2.0 * corner)
-    scale0 = 1.0 / (1.0 + (inv_2corner / initial_interval) ** order)
-    flip_lanes, flip_cols = np.nonzero(flip_mask)
-    total = flip_lanes.size
-    if total == 0:
-        scale = np.broadcast_to(scale0[:, None], (n_lanes, n))
-    else:
-        is_first = np.empty(total, dtype=bool)
-        is_first[0] = True
-        is_first[1:] = flip_lanes[1:] != flip_lanes[:-1]
-        prev_cols = np.empty(total, dtype=np.int64)
-        prev_cols[0] = 0
-        prev_cols[1:] = flip_cols[:-1]
-        # Interval preceding each flip: from the previous flip in the
-        # same lane, or from ``initial_interval`` before the record
-        # began for a lane's first flip.
-        elapsed = np.where(
-            is_first,
-            initial_interval[flip_lanes] + flip_cols * dt,
-            (flip_cols - prev_cols) * dt,
-        )
-        flip_scales = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
-        # Expand to per-sample scales with one flat repeat: each lane
-        # contributes a leading segment at its initial scale followed
-        # by one segment per flip; lane rows are contiguous in the
-        # flattened (n_lanes * n) layout.
-        counts = np.bincount(flip_lanes, minlength=n_lanes)
-        starts = np.empty(n_lanes, dtype=np.int64)
-        starts[0] = 0
-        np.cumsum(counts[:-1] + 1, out=starts[1:])
-        seg_values = np.empty(total + n_lanes)
-        seg_lengths = np.empty(total + n_lanes, dtype=np.int64)
-        flip_slots = np.ones(total + n_lanes, dtype=bool)
-        flip_slots[starts] = False
-        seg_values[starts] = scale0
-        seg_values[flip_slots] = flip_scales
-        lead = np.full(n_lanes, n, dtype=np.int64)
-        lead[flip_lanes[is_first]] = flip_cols[is_first]
-        is_last = np.empty(total, dtype=bool)
-        is_last[:-1] = is_first[1:]
-        is_last[-1] = True
-        next_cols = np.empty(total, dtype=np.int64)
-        next_cols[:-1] = flip_cols[1:]
-        next_cols[-1] = n
-        seg_lengths[starts] = lead
-        seg_lengths[flip_slots] = np.where(
-            is_last, n - flip_cols, next_cols - flip_cols
-        )
-        scale = np.repeat(seg_values, seg_lengths).reshape(n_lanes, n)
-    target = target_floor + scale * target_extra
-    y0 = target_floor[:, 0] + scale0 * target_extra[:, 0]
+    carry = CascadeStageState()
+    carry.freeze_stats(hysteresis, initial_interval)
+    target, y0, _ = _compressive_target(
+        v_in, target_floor, target_extra, dt, corner, order, carry
+    )
     return _slew_limit_relax(target, max_step, y0)
 
 
@@ -546,24 +514,31 @@ def _cascade_slew(
     return slew_limit(target, max_step, y0)
 
 
-def fine_delay_cascade_stream(
+def fine_delay_cascade(
     values: np.ndarray, stages, dt: float, states
 ) -> np.ndarray:
-    """Fused cascade over one chunk, with carried per-stage state.
+    """Fused cascade over a ``(lanes, samples)`` record, carrying
+    per-lane state in *states*.
 
-    Mirrors the reference streaming semantics (see
-    ``python_backend.fine_delay_cascade_stream``) with this backend's
+    Mirrors the reference semantics (see
+    ``python_backend.fine_delay_cascade``) with this backend's
     vectorised machinery.  Per-stage element-wise work (noise add,
-    limiting tanh) runs in-place in a scratch buffer owned by the
+    limiting tanh) runs in place in a scratch buffer owned by the
     kernel; the compressed slew target comes from the carry-aware
-    comparator decomposition (:func:`_compressive_target_carry`) and is
-    slewed from the carried tracker level by whichever exact strategy
-    the cost model prefers (:func:`_cascade_slew`); the stage filter
-    starts from the plan's precomputed settled state, or the carried
-    filter state.  One unprimed call agrees with the per-stage path to
-    floating-point rounding, and chunked runs agree with one
-    whole-record call likewise (within the 0.01 ps delay contract).
+    comparator decomposition (:func:`_compressive_target`); the stage
+    filter starts from the plan's precomputed settled state, or the
+    carried filter state.
+
+    The slew strategy keys on the lane count.  One lane is slewed by
+    whichever exact strategy the cost model prefers
+    (:func:`_cascade_slew`); several lanes always share one frontier
+    relaxation (:func:`_slew_limit_relax`), whose sweeps cost the same
+    array passes however many lanes ride in them.  A call agrees with
+    the per-stage path to floating-point rounding, and chunked runs
+    agree with one whole-record call likewise (within the 0.01 ps delay
+    contract).
     """
+    single = values.shape[0] == 1
     x = values.copy()
     scratch = np.empty_like(x)
     for stage, carry in zip(stages, states):
@@ -575,99 +550,47 @@ def fine_delay_cascade_stream(
         amplitude = stage.amplitude
         if np.isfinite(stage.corner):
             floor = np.minimum(amplitude, stage.amplitude_min)
-            extra = amplitude - floor
-            if carry.hysteresis is None or carry.initial_interval is None:
-                upper, lower = np.percentile(v_in, (98.0, 2.0))
-                carry.freeze_stats(
-                    float(0.3 * ((upper - lower) / 2.0)),
-                    typical_crossing_interval(v_in, dt),
-                )
-            target, y0, n_flips, comp_state, elapsed, scale = (
-                _compressive_target_carry(
-                    v_in,
-                    floor * limited,
-                    extra * limited,
-                    dt,
-                    float(carry.hysteresis),
-                    stage.corner,
-                    stage.order,
-                    float(carry.initial_interval),
-                    carry.comp_state,
-                    carry.elapsed,
-                    carry.scale,
-                    carry.primed,
-                )
-            )
-            y_start = carry.slew_y if carry.primed else y0
-            slewed = _cascade_slew(target, stage.max_step, y_start, n_flips)
-            carry.comp_state = comp_state
-            carry.elapsed = elapsed
-            carry.scale = scale
-        else:
-            target = amplitude * limited
-            sign = np.signbit(target)
-            n_events = int(np.count_nonzero(sign[1:] != sign[:-1]))
-            y_start = carry.slew_y if carry.primed else float(target[0])
-            slewed = _cascade_slew(target, stage.max_step, y_start, n_events)
-        carry.slew_y = float(slewed[-1])
-        if carry.filter_zi is None:
-            zi = stage.zi_unit * slewed[0]
-        else:
-            zi = carry.filter_zi
-        filtered, zf = _scipy_signal.lfilter(stage.b, stage.a, slewed, zi=zi)
-        carry.filter_zi = zf
-        carry.primed = True
-        x = filtered
-    return x
-
-
-def fine_delay_cascade_batch(
-    values: np.ndarray, stages, dt: float
-) -> np.ndarray:
-    """Fused cascade over a ``(lanes, samples)`` batch.
-
-    The per-stage work reuses the batched kernels (pooled-flips
-    compression decomposition + lane-parallel frontier relaxation), with
-    the stage filter applied across the whole batch from the plan's
-    precomputed settled state.
-    """
-    x = values.copy()
-    scratch = np.empty_like(x)
-    for stage in stages:
-        if stage.noise is not None:
-            np.add(x, stage.noise, out=x)
-        v_in = x
-        np.divide(v_in, stage.v_linear, out=scratch)
-        limited = np.tanh(scratch, out=scratch)
-        amplitude = stage.amplitude
-        if np.isfinite(stage.corner):
-            floor = np.minimum(amplitude, stage.amplitude_min)
-            extra = amplitude - floor
-            upper, lower = np.percentile(v_in, (98.0, 2.0), axis=1)
-            hysteresis = 0.3 * ((upper - lower) / 2.0)
-            slewed = compressive_slew_limit_batch(
+            carry.freeze_from(v_in, dt)
+            target, y_start, n_flips = _compressive_target(
                 v_in,
-                np.broadcast_to(floor * limited, limited.shape),
-                np.broadcast_to(extra * limited, limited.shape),
-                stage.max_step,
+                floor * limited,
+                (amplitude - floor) * limited,
                 dt,
-                hysteresis,
                 stage.corner,
                 stage.order,
-                np.array(
-                    [typical_crossing_interval(lane, dt) for lane in v_in]
-                ),
+                carry,
             )
         else:
             target = amplitude * limited
-            slewed = _slew_limit_relax(
-                target, stage.max_step, np.ascontiguousarray(target[:, 0])
-            )
-        zi = stage.zi_unit[None, :] * slewed[:, :1]
-        filtered, _ = _scipy_signal.lfilter(
+            y_start = carry.slew_y if carry.primed else target[:, 0]
+            n_flips = None
+        if single:
+            lane = target[0]
+            if n_flips is None:
+                sign = np.signbit(lane)
+                n_events = int(np.count_nonzero(sign[1:] != sign[:-1]))
+            else:
+                n_events = int(n_flips[0])
+            step = stage.max_step
+            if isinstance(step, np.ndarray):
+                step = float(step.reshape(-1)[0])
+            slewed = _cascade_slew(
+                lane, step, float(y_start[0]), n_events
+            )[None, :]
+        else:
+            slewed = _slew_limit_relax(target, stage.max_step, y_start)
+        # Free the target before the next stage builds its own: a
+        # batch's targets are full (lanes, samples) records.
+        del target
+        carry.slew_y = slewed[:, -1].copy()
+        if carry.filter_zi is None:
+            zi = stage.zi_unit[None, :] * slewed[:, :1]
+        else:
+            zi = carry.filter_zi
+        x, carry.filter_zi = _scipy_signal.lfilter(
             stage.b, stage.a, slewed, axis=1, zi=zi
         )
-        x = filtered
+        carry.primed = True
     return x
 
 

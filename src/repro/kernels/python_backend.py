@@ -17,8 +17,6 @@ import math
 import numpy as np
 from scipy import signal as _scipy_signal
 
-from .cascade import typical_crossing_interval
-
 __all__ = [
     "slew_limit",
     "compressive_slew_limit",
@@ -28,8 +26,7 @@ __all__ = [
     "nearest_edge_margin",
     "slew_limit_batch",
     "compressive_slew_limit_batch",
-    "fine_delay_cascade_batch",
-    "fine_delay_cascade_stream",
+    "fine_delay_cascade",
 ]
 
 
@@ -327,25 +324,27 @@ def compressive_slew_limit_batch(
     return out
 
 
-def fine_delay_cascade_stream(
+def fine_delay_cascade(
     values: np.ndarray, stages, dt: float, states
 ) -> np.ndarray:
-    """Reference fused cascade over one chunk, with carried stage state.
+    """Reference fused cascade over a ``(lanes, samples)`` record.
 
     *states* is one :class:`~repro.kernels.cascade.CascadeStageState`
     per stage, mutated in place.  An unprimed state performs the exact
-    whole-record initialisation from this chunk (percentile hysteresis,
-    crossing-interval seeding, first-sample tracker and filter state);
-    a primed state continues the recurrences across the chunk boundary.
-    Every arithmetic step matches
+    whole-record initialisation from this record (percentile
+    hysteresis, crossing-interval seeding, first-sample tracker and
+    filter state); a primed state continues every lane's recurrences
+    across the chunk boundary.  Lanes run one by one through the
+    reference loops, and every arithmetic step matches
     :func:`repro.circuits.vga_buffer.limiting_stage` operation for
-    operation — including the two separate percentile calls and the
-    ``float`` narrowing the dispatch wrappers apply — so one call on
-    unprimed states is **bit-exact** against the per-stage chain, and
-    chunked calls are bit-exact against one whole-record call whenever
-    the frozen statistics match (see ``repro.core.streaming`` for how
-    the priming pass arranges that).
+    operation — including the ``float`` narrowing the dispatch wrappers
+    apply — so one call on unprimed states is **bit-exact** against the
+    per-stage chain on each lane, and chunked calls are bit-exact
+    against one whole-record call whenever the frozen statistics match
+    (see ``repro.core.streaming`` for how the priming pass arranges
+    that).
     """
+    n_lanes = values.shape[0]
     x = values
     for stage, carry in zip(stages, states):
         v_in = x
@@ -355,91 +354,52 @@ def fine_delay_cascade_stream(
         amplitude = stage.amplitude
         if np.isfinite(stage.corner):
             floor = np.minimum(amplitude, stage.amplitude_min)
-            extra = amplitude - floor
-            if carry.hysteresis is None or carry.initial_interval is None:
-                swing = np.percentile(v_in, 98) - np.percentile(v_in, 2)
-                carry.freeze_stats(
-                    float(0.3 * (swing / 2.0)),
-                    typical_crossing_interval(v_in, dt),
-                )
-            slewed, comp_state, elapsed, scale, y = (
-                compressive_slew_limit_carry(
-                    v_in,
-                    np.broadcast_to(floor * limited, limited.shape),
-                    np.broadcast_to(extra * limited, limited.shape),
-                    stage.max_step,
+            target_floor = floor * limited
+            target_extra = (amplitude - floor) * limited
+            carry.freeze_from(v_in, dt)
+            if not carry.primed:
+                # Placeholders: unprimed lanes seed from their record.
+                carry.comp_state = np.zeros(n_lanes, dtype=np.int8)
+                carry.elapsed = np.zeros(n_lanes)
+                carry.scale = np.ones(n_lanes)
+                carry.slew_y = np.zeros(n_lanes)
+            slewed = np.empty_like(v_in)
+            for lane in range(n_lanes):
+                (
+                    slewed[lane],
+                    carry.comp_state[lane],
+                    carry.elapsed[lane],
+                    carry.scale[lane],
+                    _,
+                ) = compressive_slew_limit_carry(
+                    v_in[lane],
+                    target_floor[lane],
+                    target_extra[lane],
+                    _lane_step(stage.max_step, lane),
                     dt,
-                    float(carry.hysteresis),
+                    float(carry.hysteresis[lane]),
                     stage.corner,
                     stage.order,
-                    float(carry.initial_interval),
-                    carry.comp_state,
-                    carry.elapsed,
-                    carry.scale,
-                    carry.slew_y,
+                    float(carry.initial_interval[lane]),
+                    int(carry.comp_state[lane]),
+                    float(carry.elapsed[lane]),
+                    float(carry.scale[lane]),
+                    float(carry.slew_y[lane]),
                     carry.primed,
                 )
-            )
-            carry.comp_state = comp_state
-            carry.elapsed = elapsed
-            carry.scale = scale
-            carry.slew_y = y
         else:
             target = amplitude * limited
-            initial = carry.slew_y if carry.primed else float(target[0])
-            slewed = slew_limit(target, stage.max_step, initial)
-            carry.slew_y = float(slewed[-1])
+            initials = carry.slew_y if carry.primed else target[:, 0]
+            slewed = slew_limit_batch(target, stage.max_step, initials)
+        carry.slew_y = slewed[:, -1].copy()
         if carry.filter_zi is None:
-            zi = stage.zi_unit * slewed[0]
+            zi = stage.zi_unit[None, :] * slewed[:, :1]
         else:
             zi = carry.filter_zi
-        x, zf = _scipy_signal.lfilter(stage.b, stage.a, slewed, zi=zi)
-        carry.filter_zi = zf
+        x, carry.filter_zi = _scipy_signal.lfilter(
+            stage.b, stage.a, slewed, axis=1, zi=zi
+        )
         carry.primed = True
-    return x
-
-
-def fine_delay_cascade_batch(
-    values: np.ndarray, stages, dt: float
-) -> np.ndarray:
-    """Reference fused cascade over a ``(lanes, samples)`` batch.
-
-    Lane semantics follow
-    :func:`repro.circuits.vga_buffer.limiting_stage_batch` exactly
-    (axis percentiles, per-lane compression seeding, per-lane loop
-    kernels), so the fused batch is bit-exact against the per-stage
-    batched path — and, transitively, against per-lane scalar calls.
-    """
-    x = values
-    for stage in stages:
-        v_in = x
-        if stage.noise is not None:
-            v_in = v_in + stage.noise
-        limited = np.tanh(v_in / stage.v_linear)
-        amplitude = stage.amplitude
-        if np.isfinite(stage.corner):
-            floor = np.minimum(amplitude, stage.amplitude_min)
-            extra = amplitude - floor
-            upper, lower = np.percentile(v_in, (98.0, 2.0), axis=1)
-            hysteresis = 0.3 * ((upper - lower) / 2.0)
-            slewed = compressive_slew_limit_batch(
-                v_in,
-                np.broadcast_to(floor * limited, limited.shape),
-                np.broadcast_to(extra * limited, limited.shape),
-                stage.max_step,
-                dt,
-                hysteresis,
-                stage.corner,
-                stage.order,
-                np.array(
-                    [typical_crossing_interval(lane, dt) for lane in v_in]
-                ),
-            )
-        else:
-            target = amplitude * limited
-            slewed = slew_limit_batch(target, stage.max_step, target[:, 0])
-        zi = stage.zi_unit[None, :] * slewed[:, :1]
-        x, _ = _scipy_signal.lfilter(stage.b, stage.a, slewed, axis=1, zi=zi)
     return x
 
 

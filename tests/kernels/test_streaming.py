@@ -239,18 +239,18 @@ def test_stream_matches_both_fusion_settings():
 
 
 def test_stream_kernel_single_call_equals_cascade_kernel():
-    """``fine_delay_cascade_stream`` on fresh state over the whole
+    """The cascade kernel on one lane and fresh state over the whole
     record is the whole cascade: bit-exact against the per-stage chain
     fed the same generator."""
     stimulus = _stimulus()
     line = FineDelayLine(n_stages=3, seed=2)
     stages, _ = line._cascade_plan(stimulus, np.random.default_rng(4))
-    out_stream = python_backend.fine_delay_cascade_stream(
-        stimulus.values,
+    out_stream = python_backend.fine_delay_cascade(
+        stimulus.values[None, :],
         stages,
         stimulus.dt,
         fresh_cascade_state(len(stages)),
-    )
+    )[0]
     kernels.set_backend("python")
     chained = per_stage(
         FineDelayLine(n_stages=3, seed=2), stimulus, np.random.default_rng(4)
