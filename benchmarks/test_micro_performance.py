@@ -25,7 +25,6 @@ from repro import kernels
 from repro.analysis import measure_delay
 from repro.ate import DeskewController, ParallelBus
 from repro.circuits import VariableGainBuffer
-from repro.circuits.vga_buffer import slew_limit
 from repro.core import FineDelayLine, calibrate_fine_delay, calibration_stimulus
 from repro.signals import prbs_sequence, synthesize_nrz
 
@@ -47,7 +46,9 @@ def backend(request):
 def test_perf_slew_limit(benchmark, backend):
     target = np.sin(np.linspace(0, 300.0, 50_000)) * 0.4
     benchmark.extra_info["kernel_backend"] = backend
-    result = benchmark(slew_limit, target, 0.05)
+    # The backend's slew loop: the slew step of every cascade stage.
+    slew_limit = kernels.get_backend().slew_limit
+    result = benchmark(slew_limit, target, 0.05, float(target[0]))
     assert len(result) == len(target)
 
 

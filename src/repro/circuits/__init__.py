@@ -17,7 +17,6 @@ from .element import (
 from .vga_buffer import (
     BufferParams,
     VariableGainBuffer,
-    slew_limit,
     band_limited_noise,
     band_limited_noise_batch,
     limiting_stage_batch,
@@ -38,7 +37,6 @@ __all__ = [
     "spawn_rngs",
     "BufferParams",
     "VariableGainBuffer",
-    "slew_limit",
     "band_limited_noise",
     "band_limited_noise_batch",
     "limiting_stage_batch",

@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import CircuitError
 from ..signals.waveform import Waveform, WaveformBatch
 from .element import CircuitElement
-from .vga_buffer import BufferParams, limiting_stage, limiting_stage_batch
+from .vga_buffer import BufferParams, limiting_stage_batch
 
 __all__ = ["OUTPUT_STAGE_PARAMS", "OutputBuffer", "FanoutBuffer"]
 
@@ -75,8 +75,7 @@ class OutputBuffer(CircuitElement):
     def process(
         self, waveform: Waveform, rng: Optional[np.random.Generator] = None
     ) -> Waveform:
-        rng = self._resolve_rng(rng)
-        return limiting_stage(waveform, self.amplitude, self.params, rng)
+        return self._one_lane(waveform, rng)
 
     def process_batch(
         self,
@@ -120,18 +119,17 @@ class FanoutBuffer(CircuitElement):
     def copies(
         self, waveform: Waveform, rng: Optional[np.random.Generator] = None
     ) -> List[Waveform]:
-        """Return all N buffered copies of the input."""
+        """Return all N buffered copies of the input.
+
+        The legs draw their noise in order from the one generator.
+        """
         rng = self._resolve_rng(rng)
-        return [
-            limiting_stage(waveform, self.amplitude, self.params, rng)
-            for _ in range(self.n_outputs)
-        ]
+        return [self._one_lane(waveform, rng) for _ in range(self.n_outputs)]
 
     def process(
         self, waveform: Waveform, rng: Optional[np.random.Generator] = None
     ) -> Waveform:
-        rng = self._resolve_rng(rng)
-        return limiting_stage(waveform, self.amplitude, self.params, rng)
+        return self._one_lane(waveform, rng)
 
     def process_batch(
         self,

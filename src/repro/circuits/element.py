@@ -96,6 +96,20 @@ class CircuitElement(abc.ABC):
             )
         return list(rngs)
 
+    def _one_lane(
+        self, waveform: Waveform, rng: Optional[np.random.Generator]
+    ) -> Waveform:
+        """*waveform* through :meth:`process_batch` as a one-lane batch.
+
+        Elements whose batch path is the only implementation answer
+        :meth:`process` with this; the lane draws its noise from the
+        caller's generator, or this element's private one.
+        """
+        batch = WaveformBatch(
+            waveform.values[None, :], waveform.dt, waveform.t0
+        )
+        return self.process_batch(batch, [self._resolve_rng(rng)]).lane(0)
+
     def process_batch(
         self,
         batch: WaveformBatch,

@@ -17,7 +17,7 @@ from ..errors import CircuitError, ControlRangeError
 from ..signals.waveform import Waveform, WaveformBatch
 from .buffers import OUTPUT_STAGE_PARAMS
 from .element import CircuitElement
-from .vga_buffer import BufferParams, limiting_stage, limiting_stage_batch
+from .vga_buffer import BufferParams, limiting_stage_batch
 
 __all__ = ["Multiplexer"]
 
@@ -103,21 +103,13 @@ class Multiplexer(CircuitElement):
             raise CircuitError(
                 f"expected {self.n_inputs} inputs, got {len(inputs)}"
             )
-        rng = self._resolve_rng(rng)
-        chosen = inputs[self._select]
-        skew = self.port_skews[self._select]
-        if skew:
-            chosen = chosen.shifted(skew)
-        return limiting_stage(chosen, self.amplitude, self.params, rng)
+        return self.process(inputs[self._select], rng)
 
     def process(
         self, waveform: Waveform, rng: Optional[np.random.Generator] = None
     ) -> Waveform:
         """Single-input convenience: treat *waveform* as the selected port."""
-        rng = self._resolve_rng(rng)
-        skew = self.port_skews[self._select]
-        chosen = waveform.shifted(skew) if skew else waveform
-        return limiting_stage(chosen, self.amplitude, self.params, rng)
+        return self._one_lane(waveform, rng)
 
     def process_batch(
         self,

@@ -38,17 +38,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy import signal as _scipy_signal
 
+from .. import kernels
 from ..errors import CircuitError, ControlRangeError
-from ..kernels import compressive_slew_limit as _kernel_compressive_slew
-from ..kernels import (
-    compressive_slew_limit_batch as _kernel_compressive_slew_batch,
-)
-from ..kernels import slew_limit as _kernel_slew_limit
-from ..kernels import slew_limit_batch as _kernel_slew_limit_batch
-from ..kernels.cascade import typical_crossing_interval
+from ..kernels.cascade import CascadeStage
 from ..signals.filters import (
     bandwidth_to_time_constant,
     bilinear_lowpass_coefficients,
+    cascade_filter_plan,
 )
 from ..signals.waveform import Waveform, WaveformBatch
 from .element import CircuitElement
@@ -56,8 +52,6 @@ from .element import CircuitElement
 __all__ = [
     "BufferParams",
     "VariableGainBuffer",
-    "slew_limit",
-    "compressive_slew_limit",
     "band_limited_noise",
     "band_limited_noise_batch",
     "limiting_stage_batch",
@@ -229,71 +223,6 @@ class BufferParams:
         return self.propagation_delay + amplitude / self.slew_rate
 
 
-def slew_limit(
-    values: np.ndarray, max_step: float, initial: Optional[float] = None
-) -> np.ndarray:
-    """Track *values* with a per-sample step bounded by *max_step*.
-
-    This is the discrete-time slew-rate limiter: the output moves toward
-    the target by at most ``max_step`` volts per sample.  The inner loop
-    runs on the active :mod:`repro.kernels` backend (the pure-Python
-    reference loop costs ~50 ns/sample; the numpy backend is far
-    faster).
-    """
-    return _kernel_slew_limit(values, max_step, initial)
-
-
-def compressive_slew_limit(
-    v_in: np.ndarray,
-    target_floor: np.ndarray,
-    target_extra: np.ndarray,
-    max_step: float,
-    dt: float,
-    hysteresis: float,
-    corner: float,
-    order: int,
-    initial_interval: float = 1.0,
-) -> np.ndarray:
-    """Slew-limited tracking with per-half-cycle amplitude compression.
-
-    The tracker watches the (pre-limiting) input *v_in* with a
-    comparator of the given *hysteresis* to time the signal's half
-    cycles.  Each time the input flips polarity, the excursion scale for
-    the upcoming half cycle is set to ``g(T)`` of the elapsed interval
-    ``T`` (see :meth:`BufferParams.compression_factor`): fast toggling
-    leaves the gain core no time to recharge, so the excursion only
-    reaches a fraction of the *programmable* part of the amplitude.  The
-    output tracks ``target_floor + scale * target_extra`` through the
-    ordinary slew limiter — the part's minimum swing (the floor) is
-    always delivered, only the boost above it compresses.
-
-    This is the mechanism that makes the usable delay range collapse at
-    high frequency (paper Fig. 15) — smaller reached excursions mean
-    smaller amplitude-dependent delay differences.  The record is
-    treated as a snapshot of a long-running signal: the compression
-    state starts as if the signal had been toggling at
-    *initial_interval* forever, so the first edges are not artificially
-    "fresh".  The loop runs on the active :mod:`repro.kernels` backend.
-    """
-    return _kernel_compressive_slew(
-        v_in,
-        target_floor,
-        target_extra,
-        max_step,
-        dt,
-        hysteresis,
-        corner,
-        order,
-        initial_interval,
-    )
-
-
-# The crossing-interval seed moved to repro.kernels.cascade so the fused
-# cascade kernels can use it without importing the circuit layer; the
-# alias keeps this module's callers and call sites unchanged.
-_typical_crossing_interval = typical_crossing_interval
-
-
 def band_limited_noise(
     n_samples: int,
     sigma: float,
@@ -338,20 +267,18 @@ def band_limited_noise_batch(
 ) -> np.ndarray:
     """Per-lane band-limited noise, one generator per lane.
 
-    Lane ``i`` is sample-for-sample what ``band_limited_noise`` returns
-    when fed ``rngs[i]`` — each lane draws only from its own stream, so
-    a batched render and a lane-by-lane render produce identical noise.
-    The low-pass warmup and the RMS normalisation run per lane (each
-    lane is its own stationary snapshot).
+    Lane ``i`` is :func:`band_limited_noise` fed ``rngs[i]``: each lane
+    draws only from its own stream and is its own stationary snapshot,
+    so a batched render and a lane-by-lane render produce identical
+    noise.
 
     *sigma* may be a shared float or one RMS per lane (campaign packs
     stack device instances with different noise draws).  A lane whose
-    sigma is zero consumes nothing from its generator — exactly the
-    single-lane gating, so packed and scalar renders stay bit-exact.
+    sigma is zero consumes nothing from its generator.
     """
     sigmas = np.asarray(sigma, dtype=np.float64)
     if sigmas.ndim > 0:
-        lane_sigmas = np.ascontiguousarray(sigmas.reshape(-1))
+        lane_sigmas = sigmas.reshape(-1)
         if lane_sigmas.shape != (n_lanes,):
             raise CircuitError(
                 f"sigma must be a scalar or have one entry per lane "
@@ -359,83 +286,12 @@ def band_limited_noise_batch(
             )
     else:
         lane_sigmas = np.full(n_lanes, float(sigmas))
-    active = lane_sigmas > 0.0
-    if n_samples == 0 or not active.any():
-        return np.zeros((n_lanes, n_samples))
-    nyquist = 0.5 / dt
-    if bandwidth < nyquist:
-        tau = bandwidth_to_time_constant(bandwidth)
-        n_warmup = int(min(8192, math.ceil(10.0 * tau / dt)))
-        white = np.zeros((n_lanes, n_samples + n_warmup))
-        for lane in range(n_lanes):
-            if active[lane]:
-                white[lane] = rngs[lane].normal(
-                    0.0, 1.0, size=n_samples + n_warmup
-                )
-        b, a = bilinear_lowpass_coefficients(dt, tau)
-        white = _scipy_signal.lfilter(b, a, white, axis=1)[:, n_warmup:]
-    else:
-        white = np.zeros((n_lanes, n_samples))
-        for lane in range(n_lanes):
-            if active[lane]:
-                white[lane] = rngs[lane].normal(0.0, 1.0, size=n_samples)
-    # Per-lane scalar RMS via the single-lane expression, keeping the
-    # batched path bit-exact against lane-by-lane rendering.
-    out = np.empty_like(white)
+    out = np.empty((n_lanes, n_samples))
     for lane in range(n_lanes):
-        rms = float(np.sqrt(np.mean(white[lane] ** 2)))
-        if rms == 0.0:
-            out[lane] = 0.0
-        else:
-            out[lane] = white[lane] * (lane_sigmas[lane] / rms)
+        out[lane] = band_limited_noise(
+            n_samples, float(lane_sigmas[lane]), bandwidth, dt, rngs[lane]
+        )
     return out
-
-
-def limiting_stage(
-    waveform: Waveform,
-    amplitude: Union[float, np.ndarray],
-    params: BufferParams,
-    rng: np.random.Generator,
-) -> Waveform:
-    """Core signal path shared by the variable-gain and output buffers.
-
-    *amplitude* may be a scalar (fixed programming) or a per-sample
-    array (time-varying Vctrl, as in jitter injection).
-    """
-    dt = waveform.dt
-    v_in = waveform.values
-    if params.noise_sigma > 0:
-        v_in = v_in + band_limited_noise(
-            len(v_in), params.noise_sigma, params.noise_bandwidth, dt, rng
-        )
-    limited = np.tanh(v_in / params.v_linear)
-    amplitude = np.asarray(amplitude, dtype=np.float64)
-    max_step = params.slew_rate * dt
-    if np.isfinite(params.compression_corner):
-        floor = np.minimum(amplitude, params.amplitude_min)
-        extra = amplitude - floor
-        swing = np.percentile(v_in, 98) - np.percentile(v_in, 2)
-        hysteresis = 0.3 * (swing / 2.0)
-        slewed = compressive_slew_limit(
-            v_in,
-            np.broadcast_to(floor * limited, limited.shape),
-            np.broadcast_to(extra * limited, limited.shape),
-            max_step,
-            dt,
-            hysteresis,
-            params.compression_corner,
-            params.compression_order,
-            initial_interval=_typical_crossing_interval(v_in, dt),
-        )
-    else:
-        target = amplitude * limited
-        slewed = slew_limit(target, max_step, initial=target[0])
-    tau = bandwidth_to_time_constant(params.bandwidth)
-    b, a = bilinear_lowpass_coefficients(dt, tau)
-    zi = _scipy_signal.lfilter_zi(b, a) * slewed[0]
-    filtered, _ = _scipy_signal.lfilter(b, a, slewed, zi=zi)
-    out = Waveform(filtered, dt, waveform.t0)
-    return out.shifted(params.propagation_delay)
 
 
 def limiting_stage_batch(
@@ -444,70 +300,53 @@ def limiting_stage_batch(
     params: BufferParams,
     rngs: Sequence[np.random.Generator],
 ) -> WaveformBatch:
-    """Batched core signal path: every lane through one stage build.
+    """The limiting-buffer signal path, every lane in one kernel call.
+
+    A standalone stage is a one-stage cascade: the stage is planned as
+    one :class:`~repro.kernels.cascade.CascadeStage` and run through
+    :func:`repro.kernels.fine_delay_cascade_batch`, the kernel the
+    fine delay line's N-stage cascade runs on.
 
     *amplitude* may be a scalar (all lanes programmed alike), a
     ``(n_lanes,)`` array (per-lane programming — a control-voltage
     sweep as one batch), or a ``(n_lanes, n_samples)`` array
     (per-lane time-varying control).  Lane ``i`` draws its noise from
-    ``rngs[i]`` only, so on the python kernel backend the result is
-    bit-exact against ``limiting_stage`` applied lane by lane with the
-    same generators; the element-wise work (noise filtering, tanh,
-    output pole) and the compression decomposition run across the
-    whole batch at once.
+    ``rngs[i]`` only, so on the python kernel backend each lane is
+    bit-exact against its own one-lane call with the same generator
+    (numpy agrees to rounding: its one-lane and many-lane slew
+    strategies differ).
     """
     dt = batch.dt
-    n_lanes = batch.n_lanes
-    v_in = batch.values
+    amplitude = np.asarray(amplitude, dtype=np.float64)
+    if amplitude.ndim == 1:
+        amplitude = amplitude[:, None]
+    noise = None
     if params.noise_sigma > 0:
-        v_in = v_in + band_limited_noise_batch(
-            n_lanes,
+        noise = band_limited_noise_batch(
+            batch.n_lanes,
             batch.n_samples,
             params.noise_sigma,
             params.noise_bandwidth,
             dt,
             rngs,
         )
-    limited = np.tanh(v_in / params.v_linear)
-    amplitude = np.asarray(amplitude, dtype=np.float64)
-    if amplitude.ndim == 1:
-        amplitude = amplitude[:, None]
-    max_step = params.slew_rate * dt
-    if np.isfinite(params.compression_corner):
-        floor = np.minimum(amplitude, params.amplitude_min)
-        extra = amplitude - floor
-        # Per-lane comparator band and starting compression state.  The
-        # axis percentile is sample-for-sample the single-lane call on
-        # each row (same partition + interpolation per row), so lane
-        # equivalence stays exact.
-        upper, lower = np.percentile(v_in, (98.0, 2.0), axis=1)
-        hysteresis = 0.3 * ((upper - lower) / 2.0)
-        initial_interval = np.empty(n_lanes)
-        for lane in range(n_lanes):
-            initial_interval[lane] = _typical_crossing_interval(
-                v_in[lane], dt
-            )
-        slewed = _kernel_compressive_slew_batch(
-            v_in,
-            np.broadcast_to(floor * limited, limited.shape),
-            np.broadcast_to(extra * limited, limited.shape),
-            max_step,
-            dt,
-            hysteresis,
-            params.compression_corner,
-            params.compression_order,
-            initial_interval=initial_interval,
-        )
-    else:
-        target = amplitude * limited
-        slewed = _kernel_slew_limit_batch(
-            target, max_step, initial=target[:, 0]
-        )
-    tau = bandwidth_to_time_constant(params.bandwidth)
-    b, a = bilinear_lowpass_coefficients(dt, tau)
-    zi = _scipy_signal.lfilter_zi(b, a)[None, :] * slewed[:, :1]
-    filtered, _ = _scipy_signal.lfilter(b, a, slewed, axis=1, zi=zi)
-    out = WaveformBatch(filtered, dt, batch.t0)
+    b, a, zi_unit = cascade_filter_plan(
+        dt, bandwidth_to_time_constant(params.bandwidth)
+    )
+    stage = CascadeStage(
+        amplitude=amplitude,
+        amplitude_min=params.amplitude_min,
+        v_linear=params.v_linear,
+        max_step=params.slew_rate * dt,
+        corner=params.compression_corner,
+        order=params.compression_order,
+        b=b,
+        a=a,
+        zi_unit=zi_unit,
+        noise=noise,
+    )
+    samples = kernels.fine_delay_cascade_batch(batch.values, [stage], dt)
+    out = WaveformBatch(samples, dt, batch.t0)
     return out.shifted(params.propagation_delay)
 
 
@@ -562,9 +401,7 @@ class VariableGainBuffer(CircuitElement):
     def process(
         self, waveform: Waveform, rng: Optional[np.random.Generator] = None
     ) -> Waveform:
-        rng = self._resolve_rng(rng)
-        amplitude = self.amplitude_at(waveform)
-        return limiting_stage(waveform, amplitude, self.params, rng)
+        return self._one_lane(waveform, rng)
 
     def process_batch(
         self,

@@ -391,10 +391,9 @@ def process_lines_pack(
     Falls back to per-lane sequential processing when the lines differ
     structurally, so the result is always what the per-lane loop would
     produce; on the python kernel backend the fused path is bit-exact
-    against that loop.  A single lane also runs as that loop, which
-    keeps its bits on numpy: the loop's fanout and mux stages run the
-    per-stage kernels (event-walk slew), where the packed path's
-    batched fanout and mux always relax.
+    against that loop.  A single line is a pack of one: it is
+    :meth:`CombinedDelayLine.process` itself, whose every stage runs as
+    a one-lane batch.
 
     *rngs* supplies lane *i*'s noise stream; ``None`` uses each line's
     own private generator — matching ``lines[i].process(lane, None)``.
@@ -409,9 +408,8 @@ def process_lines_pack(
         raise CircuitError(
             f"{len(rngs)} noise streams for {len(lines)} delay lines"
         )
-    if len(lines) == 1 or not _lines_packable(lines):
-        span = "lines_pack" if len(lines) == 1 else "lines_pack_fallback"
-        with instrument.span(span):
+    if not _lines_packable(lines):
+        with instrument.span("lines_pack_fallback"):
             outputs = []
             for i, line in enumerate(lines):
                 if vctrls is None:

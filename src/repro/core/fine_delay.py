@@ -21,7 +21,6 @@ from ..circuits.vga_buffer import (
     BufferParams,
     ControlInput,
     VariableGainBuffer,
-    band_limited_noise,
     band_limited_noise_batch,
 )
 from ..errors import CircuitError
@@ -132,73 +131,22 @@ class FineDelayLine(CircuitElement):
         """All cascade elements in signal order (stages + output stage)."""
         return list(self._stages) + [self._output_stage]
 
-    def _cascade_plan(
-        self, waveform: Waveform, rng: Optional[np.random.Generator]
-    ) -> Tuple[List[CascadeStage], float]:
-        """Resolve the whole cascade into a fused-kernel stage plan.
-
-        Everything the per-stage path resolves *between* kernel calls —
-        control-voltage-to-amplitude mapping on each stage's (delayed)
-        time grid, per-stage noise records drawn in stage order from the
-        same generators, discretised filter state — is resolved here up
-        front, so the fused kernel consumes identical inputs and the
-        generators end in identical states.  Returns the plan and the
-        output ``t0`` (input ``t0`` plus the accumulated propagation
-        delays, summed in the same order as the per-stage path).
-        """
-        dt = waveform.dt
-        n = len(waveform)
-        t_acc = waveform.t0
-        stages: List[CascadeStage] = []
-        for element in self._elements():
-            params = element.params
-            if isinstance(element, VariableGainBuffer):
-                vctrl = element.vctrl
-                if isinstance(vctrl, Waveform):
-                    times = t_acc + dt * np.arange(n)
-                    amplitude = params.amplitude_from_vctrl(
-                        vctrl.value_at(times)
-                    )
-                else:
-                    amplitude = params.amplitude_from_vctrl(vctrl)
-            else:
-                amplitude = element.amplitude
-            stage_rng = element._resolve_rng(rng)
-            noise = None
-            if params.noise_sigma > 0:
-                noise = band_limited_noise(
-                    n, params.noise_sigma, params.noise_bandwidth, dt,
-                    stage_rng,
-                )
-            tau = bandwidth_to_time_constant(params.bandwidth)
-            b, a, zi_unit = cascade_filter_plan(dt, tau)
-            stages.append(
-                CascadeStage(
-                    amplitude=np.asarray(amplitude, dtype=np.float64),
-                    amplitude_min=params.amplitude_min,
-                    v_linear=params.v_linear,
-                    max_step=params.slew_rate * dt,
-                    corner=params.compression_corner,
-                    order=params.compression_order,
-                    b=b,
-                    a=a,
-                    zi_unit=zi_unit,
-                    noise=noise,
-                )
-            )
-            t_acc = t_acc + params.propagation_delay
-        return stages, t_acc
-
     def process(
         self, waveform: Waveform, rng: Optional[np.random.Generator] = None
     ) -> Waveform:
         with instrument.span("fine_delay"):
             instrument.count("fine_delay.fused_calls")
-            stages, t_out = self._cascade_plan(waveform, rng)
+            stages, t_out = cascade_plan_pack(
+                [self],
+                WaveformBatch(
+                    waveform.values[None, :], waveform.dt, waveform.t0
+                ),
+                [rng],
+            )
             samples = kernels.fine_delay_cascade(
                 waveform.values, stages, waveform.dt
             )
-            return Waveform(samples, waveform.dt, t_out)
+            return Waveform(samples, waveform.dt, float(t_out[0]))
 
     def open_stream(
         self,
@@ -313,7 +261,7 @@ def _collapse_lane_values(values: np.ndarray):
 def cascade_plan_pack(
     lines: Sequence[FineDelayLine],
     batch: WaveformBatch,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence[Optional[np.random.Generator]],
     vctrls: Optional[np.ndarray] = None,
 ) -> Tuple[List[CascadeStage], np.ndarray]:
     """Fused-kernel plan for a *pack*: lane ``i`` runs ``lines[i]``.
@@ -333,9 +281,11 @@ def cascade_plan_pack(
     jitter-injection waveform control (paper Sec. 5) is evaluated on
     each lane's own delayed time grid, giving that stage an
     ``(n_lanes, n_samples)`` amplitude.  Lane ``i`` draws noise from
-    ``rngs[i]`` only, in stage order, so each lane of the fused result
-    is bit-exact against that line's own scalar
-    :meth:`FineDelayLine.process` on the python kernel backend.
+    ``rngs[i]`` only, in stage order; a lane generator of ``None``
+    draws each stage's noise from that stage's private generator (the
+    generators :meth:`FineDelayLine.process` and its streams use when
+    the caller passes none).  A lane's plan therefore does not depend
+    on the pack it rides in.
     """
     n_lanes = batch.n_lanes
     if len(lines) != n_lanes:
@@ -417,10 +367,13 @@ def cascade_plan_pack(
             noise = band_limited_noise_batch(
                 n_lanes,
                 n,
-                _collapse_lane_values(sigmas),
+                sigmas,
                 params0.noise_bandwidth,
                 dt,
-                rngs,
+                [
+                    element._resolve_rng(rng)
+                    for element, rng in zip(elements, rngs)
+                ],
             )
         tau = bandwidth_to_time_constant(params0.bandwidth)
         b, a, zi_unit = cascade_filter_plan(dt, tau)

@@ -23,12 +23,13 @@ Schema (version 1)::
          "duration_s": 1.9, "checks_passed": true,
          "failed_checks": [], "n_rows": 13}
       ],
-      "counters": {"kernels.slew_limit.calls": 65, ...},
+      "counters": {"kernels.fine_delay_cascade.calls": 65, ...},
       "spans": {"experiment.fig07/fine_delay": {"calls": 65,
                                                 "total_s": 0.8}, ...},
       "kernels": {
-        "ops": {"slew_limit": {"calls": 65, "samples": 4_000_000,
-                               "seconds": 0.7}, ...},
+        "ops": {"fine_delay_cascade": {"calls": 65,
+                                       "samples": 4_000_000,
+                                       "seconds": 0.7}, ...},
         "backend_calls": {"numpy": 130}
       }
     }

@@ -5,7 +5,7 @@ entries:
 
 counters
     Monotonic numbers keyed by dotted names
-    (``"kernels.slew_limit.calls"``).  :meth:`Registry.count` adds to
+    (``"kernels.fine_delay_cascade.calls"``).  :meth:`Registry.count` adds to
     them; they only ever grow.
 spans
     Wall-clock stage timers keyed by ``/``-joined paths

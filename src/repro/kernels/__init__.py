@@ -1,10 +1,11 @@
 """Pluggable compute kernels for the simulation's stateful inner loops.
 
 Every per-sample loop that dominates the simulator's wall-clock time —
-the slew-rate limiters inside each buffer stage, the edge-matching
-loop of the delay measurement, and the comparator walk of the
-hysteresis edge extractor — dispatches through this package to one of
-two interchangeable backends:
+the limiting-buffer cascade (comparator, compression and slew-rate
+recurrences of each stage), the edge-matching loop of the delay
+measurement, and the comparator walk of the hysteresis edge extractor
+— dispatches through this package to one of two interchangeable
+backends:
 
 ``python``
     The original interpreted loops, kept as the bit-exact semantic
@@ -22,11 +23,16 @@ numpy.  See DESIGN.md §"Kernel layer".
 Each backend has one fused cascade kernel,
 ``fine_delay_cascade(values, stages, dt, states)``, over a
 ``(lanes, samples)`` record with one per-lane carry state per stage.
-The three public cascade entries are thin callers of it:
-:func:`fine_delay_cascade` (one whole record, fresh state),
+Every limiting-buffer stage of the simulator runs on it: the fine
+delay line's N-stage cascade, and each standalone buffer (output
+driver, fanout leg, mux driver, single variable-gain stage) as a
+one-stage cascade.  The three public cascade entries are thin callers
+of it: :func:`fine_delay_cascade` (one whole record, fresh state),
 :func:`fine_delay_cascade_stream` (one chunk, carried state) and
-:func:`fine_delay_cascade_batch` (many lanes, fresh state).  Each
-records its own op counters.
+:func:`fine_delay_cascade_batch` (lanes of a batch, fresh state).
+Each records its own op counters.  There is no per-stage slew-limiter
+op: the backends' slew loops (``slew_limit``, and the python
+``compressive_slew_limit_carry``) are internals of the cascade.
 """
 
 from __future__ import annotations
@@ -64,13 +70,9 @@ __all__ = [
     "CascadeStageState",
     "fresh_cascade_state",
     "typical_crossing_interval",
-    "slew_limit",
-    "compressive_slew_limit",
     "match_edges",
     "hysteresis_crossings",
     "nearest_edge_margin",
-    "slew_limit_batch",
-    "compressive_slew_limit_batch",
     "match_edges_batch",
     "fine_delay_cascade",
     "fine_delay_cascade_batch",
@@ -101,16 +103,6 @@ def _as_float_array(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64)
 
 
-def _as_float_matrix(values, name: str) -> np.ndarray:
-    array = np.ascontiguousarray(values, dtype=np.float64)
-    if array.ndim != 2:
-        raise CircuitError(
-            f"{name} must be a 2-D (lanes, samples) array, got shape "
-            f"{array.shape}"
-        )
-    return array
-
-
 def _per_lane(value: PerLane, n_lanes: int, name: str) -> np.ndarray:
     """Normalise a scalar-or-per-lane parameter to a ``(n_lanes,)`` array."""
     array = np.asarray(value, dtype=np.float64)
@@ -122,61 +114,6 @@ def _per_lane(value: PerLane, n_lanes: int, name: str) -> np.ndarray:
             f"({n_lanes}), got shape {array.shape}"
         )
     return np.ascontiguousarray(array)
-
-
-def slew_limit(
-    values: np.ndarray, max_step: float, initial: Optional[float] = None
-) -> np.ndarray:
-    """Track *values* with a per-sample step bounded by *max_step*.
-
-    This is the discrete-time slew-rate limiter: the output moves toward
-    the target by at most ``max_step`` volts per sample.
-    """
-    if max_step <= 0:
-        raise CircuitError(f"max_step must be positive: {max_step}")
-    values = _as_float_array(values)
-    start = float(values[0]) if initial is None else float(initial)
-    return _run(
-        "slew_limit",
-        values.size,
-        lambda: get_backend().slew_limit(values, float(max_step), start),
-    )
-
-
-def compressive_slew_limit(
-    v_in: np.ndarray,
-    target_floor: np.ndarray,
-    target_extra: np.ndarray,
-    max_step: float,
-    dt: float,
-    hysteresis: float,
-    corner: float,
-    order: int,
-    initial_interval: float = 1.0,
-) -> np.ndarray:
-    """Slew-limited tracking with per-half-cycle amplitude compression.
-
-    See :func:`repro.circuits.vga_buffer.compressive_slew_limit` for
-    the physics; this is the dispatching compute kernel.
-    """
-    if max_step <= 0:
-        raise CircuitError(f"max_step must be positive: {max_step}")
-    v_in = _as_float_array(v_in)
-    return _run(
-        "compressive_slew_limit",
-        v_in.size,
-        lambda: get_backend().compressive_slew_limit(
-            v_in,
-            _as_float_array(target_floor),
-            _as_float_array(target_extra),
-            float(max_step),
-            float(dt),
-            float(hysteresis),
-            float(corner),
-            int(order),
-            float(initial_interval),
-        ),
-    )
 
 
 def match_edges(
@@ -239,83 +176,6 @@ def nearest_edge_margin(
                 probe_edges, data_edges
             ),
         )
-    )
-
-
-def slew_limit_batch(
-    values: np.ndarray,
-    max_step: float,
-    initial: Optional[PerLane] = None,
-) -> np.ndarray:
-    """Slew-limit every lane of a ``(lanes, samples)`` batch at once.
-
-    Lane ``i`` of the result equals ``slew_limit(values[i], max_step,
-    initial[i])`` on the same backend: bit-exactly on python, to
-    floating-point rounding on numpy (whose batch kernel computes the
-    sequential recurrence, and whose single-lane kernel an event walk).
-    *initial* may be a scalar, one value per lane, or ``None`` (each
-    lane starts at its own first target).
-    """
-    if max_step <= 0:
-        raise CircuitError(f"max_step must be positive: {max_step}")
-    values = _as_float_matrix(values, "values")
-    if initial is None:
-        initials = np.ascontiguousarray(values[:, 0])
-    else:
-        initials = _per_lane(initial, values.shape[0], "initial")
-    return _run(
-        "slew_limit_batch",
-        values.size,
-        lambda: get_backend().slew_limit_batch(
-            values, float(max_step), initials
-        ),
-    )
-
-
-def compressive_slew_limit_batch(
-    v_in: np.ndarray,
-    target_floor: np.ndarray,
-    target_extra: np.ndarray,
-    max_step: float,
-    dt: float,
-    hysteresis: PerLane,
-    corner: float,
-    order: int,
-    initial_interval: PerLane = 1.0,
-) -> np.ndarray:
-    """Batched compressive slew limiting over ``(lanes, samples)`` arrays.
-
-    *hysteresis* and *initial_interval* accept per-lane values because
-    both are derived from each lane's own signal (comparator band from
-    the lane's swing, starting compression state from the lane's
-    toggle rate).  ``max_step``/``dt``/``corner``/``order`` are shared:
-    a batch models many lanes through identically-built stages.
-    """
-    if max_step <= 0:
-        raise CircuitError(f"max_step must be positive: {max_step}")
-    v_in = _as_float_matrix(v_in, "v_in")
-    target_floor = _as_float_matrix(target_floor, "target_floor")
-    target_extra = _as_float_matrix(target_extra, "target_extra")
-    if not (v_in.shape == target_floor.shape == target_extra.shape):
-        raise CircuitError(
-            f"batch shapes disagree: v_in {v_in.shape}, floor "
-            f"{target_floor.shape}, extra {target_extra.shape}"
-        )
-    n_lanes = v_in.shape[0]
-    return _run(
-        "compressive_slew_limit_batch",
-        v_in.size,
-        lambda: get_backend().compressive_slew_limit_batch(
-            v_in,
-            target_floor,
-            target_extra,
-            float(max_step),
-            float(dt),
-            _per_lane(hysteresis, n_lanes, "hysteresis"),
-            float(corner),
-            int(order),
-            _per_lane(initial_interval, n_lanes, "initial_interval"),
-        ),
     )
 
 
@@ -404,7 +264,7 @@ def fine_delay_cascade(
     *stages* is a pre-built plan (see :class:`CascadeStage`): amplitude
     targets already resolved from control voltages, noise already drawn
     in stage order, filters already discretised.  Stage semantics are
-    identical to :func:`repro.circuits.vga_buffer.limiting_stage`
+    identical to :func:`repro.circuits.vga_buffer.limiting_stage_batch`
     chained N times, minus the per-stage Waveform round-trips.
 
     This is the backend's cascade kernel on one lane and fresh state:

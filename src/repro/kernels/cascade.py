@@ -23,8 +23,11 @@ This module holds what the two backends and the plan builder share:
   helper, moved here from ``repro.circuits.vga_buffer`` so backends can
   use it without importing the circuit layer.
 
-Equivalence contract (asserted by ``tests/kernels/test_fusion.py``
-against a chain of per-stage ``process`` calls): fused output is
+Every standalone limiting-buffer stage (output driver, fanout leg, mux
+driver, one variable-gain stage) is a one-stage plan on the same
+kernel, so the per-stage chain of ``process`` calls is a chain of
+one-stage kernel calls.  Equivalence contract (asserted by
+``tests/kernels/test_fusion.py`` against that chain): fused output is
 **bit-exact** against the per-stage chain on the python backend, and
 within 0.01 ps of measured delay on numpy.
 """
@@ -35,6 +38,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+
+from ..errors import CircuitError
 
 __all__ = [
     "CascadeStage",
@@ -96,6 +101,10 @@ class CascadeStage:
     a: np.ndarray
     zi_unit: np.ndarray
     noise: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if not np.all(np.asarray(self.max_step) > 0):
+            raise CircuitError(f"max_step must be positive: {self.max_step}")
 
 
 @dataclass

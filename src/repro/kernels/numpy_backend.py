@@ -8,31 +8,32 @@ with the reference to floating-point rounding, not bit-exactly; the
 property tests bound the disagreement far below a femtosecond of
 delay-measurement impact.
 
-The slew limiters have a per-sample recurrence, so they cannot be
-vectorised sample-by-sample.  They *can* be vectorised event-by-event:
-a slew limiter is always in one of two regimes — **tracking** (output
-equals the target, until a step larger than ``max_step`` occurs) or
-**ramping** (output moves at exactly ``±max_step`` per sample until it
-catches the target).  Both regimes cover long runs of samples that can
-be emitted with one array operation each, so the Python-level loop
-runs once per edge instead of once per sample.
+The slew limiter has a per-sample recurrence, so it cannot be
+vectorised sample-by-sample.  It *can* be vectorised event-by-event
+(:func:`slew_limit`, the walk): a slew limiter is always in one of two
+regimes — **tracking** (output equals the target, until a step larger
+than ``max_step`` occurs) or **ramping** (output moves at exactly
+``±max_step`` per sample until it catches the target).  Both regimes
+cover long runs of samples that can be emitted with one array
+operation each, so the Python-level loop runs once per edge instead of
+once per sample.
 
-The *batched* slew limiters use a different strategy — frontier
-relaxation (see :func:`_slew_limit_relax`) — because the per-event
-Python overhead of the walk is paid per lane, whereas a relaxation
-sweep is a few array operations shared by every lane in the batch.
-One dense sweep over the whole batch is followed by sweeps over only
-the samples whose predecessor changed, so the cost tracks the ramping
-samples.  The result is the sequential recurrence bit for bit on every
-lane that settles within the sweep cap.
+Several lanes use a different strategy — frontier relaxation (see
+:func:`_slew_limit_relax`) — because the per-event Python overhead of
+the walk is paid per lane, whereas a relaxation sweep is a few array
+operations shared by every lane.  One dense sweep over the whole batch
+is followed by sweeps over only the samples whose predecessor changed,
+so the cost tracks the ramping samples.  The result is the sequential
+recurrence bit for bit on every lane that settles within the sweep
+cap.
 
 The fused cascade is one kernel, :func:`fine_delay_cascade`, over a
-``(lanes, samples)`` record with per-lane carried state.  Its slew
-strategy keys on the lane count: one lane takes the walk or the
-relaxation, whichever the cost model in :func:`_cascade_slew` prefers;
-several lanes always relax together.  One target builder,
-:func:`_compressive_target`, serves the cascade and both compressive
-slew limiters.
+``(lanes, samples)`` record with per-lane carried state; every
+limiting-buffer stage runs on it, standalone buffers as one-stage
+cascades.  Its slew strategy keys on the lane count: one lane takes
+the walk or the relaxation, whichever the cost model in
+:func:`_cascade_slew` prefers; several lanes always relax together.
+:func:`_compressive_target` builds the compressed slew target.
 """
 
 from __future__ import annotations
@@ -44,12 +45,9 @@ from .cascade import CascadeStageState
 
 __all__ = [
     "slew_limit",
-    "compressive_slew_limit",
     "match_edges",
     "hysteresis_crossings",
     "nearest_edge_margin",
-    "slew_limit_batch",
-    "compressive_slew_limit_batch",
     "fine_delay_cascade",
 ]
 
@@ -143,37 +141,6 @@ def slew_limit(
     return out
 
 
-def compressive_slew_limit(
-    v_in: np.ndarray,
-    target_floor: np.ndarray,
-    target_extra: np.ndarray,
-    max_step: float,
-    dt: float,
-    hysteresis: float,
-    corner: float,
-    order: int,
-    initial_interval: float,
-) -> np.ndarray:
-    """Vectorised compression comparator feeding the slew limiter.
-
-    The per-sample target comes from :func:`_compressive_target` on one
-    fresh lane; the result then runs through the event walk
-    :func:`slew_limit`.
-    """
-    carry = CascadeStageState()
-    carry.freeze_stats([hysteresis], [initial_interval])
-    target, y0, _ = _compressive_target(
-        v_in[None, :],
-        target_floor[None, :],
-        target_extra[None, :],
-        dt,
-        corner,
-        order,
-        carry,
-    )
-    return slew_limit(target[0], max_step, float(y0[0]))
-
-
 def match_edges(
     ref_edges: np.ndarray,
     out_edges: np.ndarray,
@@ -215,9 +182,10 @@ def hysteresis_crossings(
     """Vectorised comparator-with-hysteresis switch location."""
     n = v.size
     empty = (np.empty(0), np.empty(0, dtype=np.bool_))
-    tri = np.zeros(n, dtype=np.int8)
-    tri[v > hysteresis] = 1
-    tri[v < -hysteresis] = -1
+    # +1 above the band, -1 below it, 0 inside (*hysteresis* > 0).
+    tri = np.subtract(
+        (v > hysteresis).view(np.int8), (v < -hysteresis).view(np.int8)
+    )
     decided = np.flatnonzero(tri)
     if decided.size < 2:
         return empty
@@ -329,19 +297,6 @@ def _slew_limit_relax(
     return out
 
 
-def slew_limit_batch(
-    values: np.ndarray, max_step, initials: np.ndarray
-) -> np.ndarray:
-    """Slew limiting of a ``(lanes, n)`` batch by frontier relaxation.
-
-    See :func:`_slew_limit_relax`; lanes agree with sequential
-    single-lane calls (the event walk) to floating-point rounding.
-    """
-    return _slew_limit_relax(
-        values, max_step, np.asarray(initials, dtype=np.float64)
-    )
-
-
 def _compressive_target(
     v_in: np.ndarray,
     target_floor: np.ndarray,
@@ -451,32 +406,6 @@ def _compressive_target(
     carry.elapsed = ages[ends]
     carry.scale = seg_values[ends]
     return target, y_start, counts
-
-
-def compressive_slew_limit_batch(
-    v_in: np.ndarray,
-    target_floor: np.ndarray,
-    target_extra: np.ndarray,
-    max_step,
-    dt: float,
-    hysteresis: np.ndarray,
-    corner: float,
-    order: int,
-    initial_interval: np.ndarray,
-) -> np.ndarray:
-    """Lane-vectorised compression comparators feeding one relaxed slew.
-
-    The target comes from :func:`_compressive_target` on fresh lanes;
-    the slew recurrence runs as a lane-parallel frontier relaxation
-    (:func:`_slew_limit_relax`), so lanes agree with sequential
-    single-lane calls to floating-point rounding.
-    """
-    carry = CascadeStageState()
-    carry.freeze_stats(hysteresis, initial_interval)
-    target, y0, _ = _compressive_target(
-        v_in, target_floor, target_extra, dt, corner, order, carry
-    )
-    return _slew_limit_relax(target, max_step, y0)
 
 
 # Calibrated per-stage cost model for the fused cascade's slew step.

@@ -19,13 +19,11 @@ from scipy import signal as _scipy_signal
 
 __all__ = [
     "slew_limit",
-    "compressive_slew_limit",
     "compressive_slew_limit_carry",
     "match_edges",
     "hysteresis_crossings",
     "nearest_edge_margin",
     "slew_limit_batch",
-    "compressive_slew_limit_batch",
     "fine_delay_cascade",
 ]
 
@@ -49,40 +47,6 @@ def slew_limit(
         y += dv
         out[i] = y
     return out
-
-
-def compressive_slew_limit(
-    v_in: np.ndarray,
-    target_floor: np.ndarray,
-    target_extra: np.ndarray,
-    max_step: float,
-    dt: float,
-    hysteresis: float,
-    corner: float,
-    order: int,
-    initial_interval: float,
-) -> np.ndarray:
-    """Slew-limited tracking with per-half-cycle amplitude compression.
-
-    The whole record as one unprimed :func:`compressive_slew_limit_carry`
-    call.
-    """
-    return compressive_slew_limit_carry(
-        v_in,
-        target_floor,
-        target_extra,
-        max_step,
-        dt,
-        hysteresis,
-        corner,
-        order,
-        initial_interval,
-        0,
-        0.0,
-        1.0,
-        0.0,
-        False,
-    )[0]
 
 
 def compressive_slew_limit_carry(
@@ -290,40 +254,6 @@ def slew_limit_batch(
     return out
 
 
-def compressive_slew_limit_batch(
-    v_in: np.ndarray,
-    target_floor: np.ndarray,
-    target_extra: np.ndarray,
-    max_step,
-    dt: float,
-    hysteresis: np.ndarray,
-    corner: float,
-    order: int,
-    initial_interval: np.ndarray,
-) -> np.ndarray:
-    """Per-lane compressive slew limiting of a ``(lanes, n)`` batch.
-
-    *hysteresis* and *initial_interval* are per-lane arrays: each lane's
-    comparator band and starting compression state are derived from that
-    lane's own signal.  *max_step* is a shared float or a per-lane
-    array (campaign packs carry per-instance slew rates).
-    """
-    out = np.empty_like(v_in)
-    for lane in range(v_in.shape[0]):
-        out[lane] = compressive_slew_limit(
-            v_in[lane],
-            target_floor[lane],
-            target_extra[lane],
-            _lane_step(max_step, lane),
-            dt,
-            float(hysteresis[lane]),
-            corner,
-            order,
-            float(initial_interval[lane]),
-        )
-    return out
-
-
 def fine_delay_cascade(
     values: np.ndarray, stages, dt: float, states
 ) -> np.ndarray:
@@ -335,11 +265,9 @@ def fine_delay_cascade(
     hysteresis, crossing-interval seeding, first-sample tracker and
     filter state); a primed state continues every lane's recurrences
     across the chunk boundary.  Lanes run one by one through the
-    reference loops, and every arithmetic step matches
-    :func:`repro.circuits.vga_buffer.limiting_stage` operation for
-    operation — including the ``float`` narrowing the dispatch wrappers
-    apply — so one call on unprimed states is **bit-exact** against the
-    per-stage chain on each lane, and chunked calls are bit-exact
+    reference loops, so one call on unprimed states is **bit-exact**
+    against the chain of one-stage calls on each lane (and each lane
+    against its own one-lane call), and chunked calls are bit-exact
     against one whole-record call whenever the frozen statistics match
     (see ``repro.core.streaming`` for how the priming pass arranges
     that).

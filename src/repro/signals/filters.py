@@ -71,9 +71,8 @@ def bilinear_lowpass_coefficients(dt: float, tau: float) -> tuple:
 
     Returns the ``(b, a)`` arrays for :func:`scipy.signal.lfilter`.
     This is the one place the one-pole discretisation lives: the
-    stage-bandwidth model in
-    :func:`repro.circuits.vga_buffer.limiting_stage`, the noise
-    band-limiting in
+    stage-bandwidth filter of every cascade plan (through
+    :func:`cascade_filter_plan`), the noise band-limiting in
     :func:`repro.circuits.vga_buffer.band_limited_noise`, and
     :func:`single_pole_lowpass` all share these coefficients, so a
     change to the discretisation cannot silently de-synchronise them.
@@ -142,9 +141,10 @@ def cascade_filter_plan(dt: float, tau: float) -> tuple:
 
     One lookup serves everything a :class:`~repro.kernels.cascade.CascadeStage`
     needs from the filter layer — the bilinear coefficients and the
-    settled unit state — so plan compilation in ``FineDelayLine`` and
-    the streaming ``_StageOp`` binder costs a dict hit per stage instead
-    of re-deriving the discretisation.  Arrays are read-only; treat the
+    settled unit state — so plan compilation (``cascade_plan_pack``,
+    ``limiting_stage_batch``) and the streaming ``_StageOp`` binder
+    cost a dict hit per stage instead of re-deriving the
+    discretisation.  Arrays are read-only; treat the
     tuple as immutable.
     """
     key = (float(dt), float(tau))

@@ -7,16 +7,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.analysis import measure_delay
 from repro.circuits import (
     BufferParams,
     VariableGainBuffer,
     band_limited_noise,
-    slew_limit,
 )
-from repro.circuits.vga_buffer import compressive_slew_limit
 from repro.errors import CircuitError, ControlRangeError
+from repro.kernels import python_backend
+from repro.kernels.cascade import CascadeStage
 from repro.signals import Waveform, synthesize_nrz
+
+
+def slew_limit(values, max_step, initial=None):
+    """The active backend's slew loop, the cascade's slew step."""
+    values = np.asarray(values, dtype=np.float64)
+    start = float(values[0]) if initial is None else float(initial)
+    return kernels.get_backend().slew_limit(values, max_step, start)
+
+
+def compressive_slew_limit(
+    v_in,
+    target_floor,
+    target_extra,
+    max_step,
+    dt,
+    hysteresis,
+    corner,
+    order,
+    initial_interval=1.0,
+):
+    """One fresh record through the reference compressive slew loop."""
+    return python_backend.compressive_slew_limit_carry(
+        v_in, target_floor, target_extra, max_step, dt, hysteresis,
+        corner, order, initial_interval, 0, 0.0, 1.0, 0.0, False,
+    )[0]
+
+
+def stage_with_step(max_step, corner):
+    """A one-stage cascade plan with the given slew step."""
+    return CascadeStage(
+        amplitude=np.asarray(0.4),
+        amplitude_min=0.1,
+        v_linear=0.03,
+        max_step=max_step,
+        corner=corner,
+        order=3,
+        b=np.array([0.5, 0.5]),
+        a=np.array([1.0, 0.0]),
+        zi_unit=np.array([0.5]),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +185,7 @@ class TestSlewLimit:
 
     def test_rejects_bad_step(self):
         with pytest.raises(CircuitError):
-            slew_limit(np.zeros(5), max_step=0.0)
+            stage_with_step(0.0, corner=math.inf)
 
     @given(
         st.lists(
@@ -369,13 +410,4 @@ class TestCompressiveSlewLimit:
 
     def test_rejects_bad_step(self):
         with pytest.raises(CircuitError):
-            compressive_slew_limit(
-                np.zeros(5),
-                np.zeros(5),
-                np.zeros(5),
-                max_step=0.0,
-                dt=1e-12,
-                hysteresis=0.1,
-                corner=6e9,
-                order=3,
-            )
+            stage_with_step(0.0, corner=6e9)

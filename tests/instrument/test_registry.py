@@ -8,6 +8,22 @@ import pytest
 
 from repro import instrument, kernels
 from repro.instrument import Registry
+from repro.kernels.cascade import CascadeStage
+
+#: A noiseless one-stage cascade plan (a standalone buffer).
+ONE_STAGE = [
+    CascadeStage(
+        amplitude=np.asarray(0.4),
+        amplitude_min=0.1,
+        v_linear=0.03,
+        max_step=0.05,
+        corner=np.inf,
+        order=3,
+        b=np.array([0.5, 0.5]),
+        a=np.array([1.0, 0.0]),
+        zi_unit=np.array([0.5]),
+    )
+]
 
 
 @pytest.fixture(autouse=True)
@@ -184,16 +200,16 @@ class TestKernelDispatchCounters:
     def test_records_op_samples_and_backend(self, backend):
         x = np.sin(np.linspace(0.0, 30.0, 500))
         with instrument.enabled_scope(reset=True) as registry:
-            kernels.slew_limit(x, 0.05)
+            kernels.fine_delay_cascade(x, ONE_STAGE, 1e-12)
         counters = registry.snapshot()["counters"]
-        assert counters["kernels.slew_limit.calls"] == 1
-        assert counters["kernels.slew_limit.samples"] == 500
-        assert counters["kernels.slew_limit.seconds"] > 0.0
+        assert counters["kernels.fine_delay_cascade.calls"] == 1
+        assert counters["kernels.fine_delay_cascade.samples"] == 500
+        assert counters["kernels.fine_delay_cascade.seconds"] > 0.0
         assert counters[f"kernels.backend.{backend}.calls"] == 1
 
     def test_disabled_dispatch_records_nothing(self, backend):
         x = np.sin(np.linspace(0.0, 30.0, 500))
-        kernels.slew_limit(x, 0.05)
+        kernels.fine_delay_cascade(x, ONE_STAGE, 1e-12)
         assert instrument.get_registry().snapshot()["counters"] == {}
 
     def test_counters_agree_across_backends(self):
@@ -205,7 +221,7 @@ class TestKernelDispatchCounters:
         for name in kernels.BACKEND_NAMES:
             with kernels.use_backend(name):
                 with instrument.enabled_scope(reset=True) as registry:
-                    kernels.slew_limit(x, 0.05)
+                    kernels.fine_delay_cascade(x, ONE_STAGE, 1e-12)
                     kernels.match_edges(ref_edges, out_edges, 0.25, 1.0)
                     kernels.hysteresis_crossings(x, 0.02)
                 counters = registry.snapshot()["counters"]

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.analysis import measure_delay
+from repro.kernels import numpy_backend, python_backend
+from repro.kernels.cascade import CascadeStageState
 from repro.circuits import VariableGainBuffer
 from repro.core import EventDelayModel, FineDelayLine, calibration_stimulus
 from repro.signals import crossing_times_hysteresis, synthesize_nrz
@@ -109,12 +111,51 @@ def _run_on(backend, func, *args, **kwargs):
         return func(*args, **kwargs)
 
 
+def _slew_limit(values, max_step, initial=None):
+    """The active backend's slew loop, the cascade's slew step."""
+    start = float(values[0]) if initial is None else float(initial)
+    return kernels.get_backend().slew_limit(values, max_step, start)
+
+
+def _compressive_slew_limit(
+    v_in,
+    target_floor,
+    target_extra,
+    max_step,
+    dt,
+    hysteresis,
+    corner,
+    order,
+    initial_interval,
+):
+    """One fresh record through the active backend's compressive stage
+    internals: the python reference loop, or numpy's comparator target
+    builder followed by the event walk."""
+    if kernels.active_backend() == "python":
+        return python_backend.compressive_slew_limit_carry(
+            v_in, target_floor, target_extra, max_step, dt, hysteresis,
+            corner, order, initial_interval, 0, 0.0, 1.0, 0.0, False,
+        )[0]
+    carry = CascadeStageState()
+    carry.freeze_stats([hysteresis], [initial_interval])
+    target, y_start, _ = numpy_backend._compressive_target(
+        v_in[None, :],
+        target_floor[None, :],
+        target_extra[None, :],
+        dt,
+        corner,
+        order,
+        carry,
+    )
+    return numpy_backend.slew_limit(target[0], max_step, float(y_start[0]))
+
+
 class TestSlewLimitAgreement:
     @pytest.mark.parametrize("backend", ALTERNATES)
     def test_corpus_agreement(self, backend):
         for v, max_step, initial in _target_corpus():
-            reference = _run_on("python", kernels.slew_limit, v, max_step, initial)
-            other = _run_on(backend, kernels.slew_limit, v, max_step, initial)
+            reference = _run_on("python", _slew_limit, v, max_step, initial)
+            other = _run_on(backend, _slew_limit, v, max_step, initial)
             np.testing.assert_allclose(other, reference, atol=1e-9, rtol=0)
 
     @given(
@@ -125,8 +166,8 @@ class TestSlewLimitAgreement:
     def test_random_walks_agree(self, max_step, seed):
         rng = np.random.default_rng(seed)
         v = np.cumsum(rng.normal(0, 0.1, 400))
-        reference = _run_on("python", kernels.slew_limit, v, max_step)
-        vectorised = _run_on("numpy", kernels.slew_limit, v, max_step)
+        reference = _run_on("python", _slew_limit, v, max_step)
+        vectorised = _run_on("numpy", _slew_limit, v, max_step)
         np.testing.assert_allclose(vectorised, reference, atol=1e-9, rtol=0)
 
     @pytest.mark.parametrize("backend", ALTERNATES)
@@ -134,7 +175,7 @@ class TestSlewLimitAgreement:
         # Whatever the backend, the defining invariant must hold.
         rng = np.random.default_rng(5)
         v = rng.normal(0, 1, 1000)
-        out = _run_on(backend, kernels.slew_limit, v, 0.05)
+        out = _run_on(backend, _slew_limit, v, 0.05)
         assert np.max(np.abs(np.diff(out))) <= 0.05 + 1e-12
 
 
@@ -143,9 +184,9 @@ class TestCompressiveAgreement:
     def test_corpus_agreement(self, backend):
         for case in _compressive_corpus():
             reference = _run_on(
-                "python", kernels.compressive_slew_limit, **case
+                "python", _compressive_slew_limit, **case
             )
-            other = _run_on(backend, kernels.compressive_slew_limit, **case)
+            other = _run_on(backend, _compressive_slew_limit, **case)
             np.testing.assert_allclose(other, reference, atol=1e-9, rtol=0)
 
 

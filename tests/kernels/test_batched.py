@@ -15,6 +15,8 @@ The corpora reuse the seeded-grid idiom of
 signal regimes the simulator produces.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,10 @@ from repro import kernels
 from repro.analysis import measure_delay, measure_delays_batch
 from repro.circuits import VariableGainBuffer, limiting_stage_batch, spawn_rngs
 from repro.core import calibration_stimulus
-from repro.kernels import numpy_backend
+from repro.kernels import numpy_backend, python_backend
+from repro.kernels.cascade import CascadeStage
 from repro.signals import WaveformBatch
+from repro.signals.filters import bandwidth_to_time_constant, cascade_filter_plan
 
 ALL_BACKENDS = kernels.BACKEND_NAMES
 ALTERNATES = tuple(name for name in ALL_BACKENDS if name != "python")
@@ -62,19 +66,41 @@ def _lane_corpus(n_lanes=5, n=700, seed=2026):
     return np.asarray(lanes)
 
 
-def _compressive_args(values, seed=1964):
+def _compressive_stage(n_lanes, seed=1964):
+    """A one-stage compressive plan: per-lane amplitude, shared physics.
+
+    Returns the many-lane stage and, per lane, the same stage with that
+    lane's amplitude (what the lane's one-lane call runs).
+    """
     rng = np.random.default_rng(seed)
-    n_lanes, n = values.shape
-    return dict(
-        target_floor=np.full((n_lanes, n), rng.uniform(0.05, 0.2)),
-        target_extra=np.abs(np.tanh(values)) * rng.uniform(0.1, 0.6),
+    dt = 1e-12
+    b, a, zi_unit = cascade_filter_plan(
+        dt, bandwidth_to_time_constant(float(rng.uniform(8e9, 20e9)))
+    )
+    amplitudes = rng.uniform(0.1, 0.75, n_lanes)
+    stage = CascadeStage(
+        amplitude=amplitudes[:, None],
+        amplitude_min=float(rng.uniform(0.05, 0.2)),
+        v_linear=float(rng.uniform(0.02, 0.5)),
         max_step=float(rng.uniform(0.01, 0.3)),
-        dt=1e-12,
-        hysteresis=rng.uniform(0.0, 0.4, n_lanes),
         corner=float(rng.uniform(1e9, 20e9)),
         order=int(rng.integers(1, 5)),
-        initial_interval=rng.uniform(20e-12, 1.0, n_lanes),
+        b=b,
+        a=a,
+        zi_unit=zi_unit,
     )
+    lanes = [
+        dataclasses.replace(stage, amplitude=np.asarray(amplitude))
+        for amplitude in amplitudes
+    ]
+    return stage, lanes, dt
+
+
+def _slew_steps(backend):
+    """The backend's many-lane slew step and its one-lane slew loop."""
+    if backend == "python":
+        return python_backend.slew_limit_batch, python_backend.slew_limit
+    return numpy_backend._slew_limit_relax, numpy_backend.slew_limit
 
 
 class TestSlewLimitBatch:
@@ -83,12 +109,12 @@ class TestSlewLimitBatch:
         values = _lane_corpus()
         max_step = 0.07
         initial = np.linspace(-0.5, 0.5, values.shape[0])
-        with kernels.use_backend(backend):
-            batched = kernels.slew_limit_batch(values, max_step, initial)
-            lanes = [
-                kernels.slew_limit(values[i], max_step, float(initial[i]))
-                for i in range(values.shape[0])
-            ]
+        batch_step, lane_step = _slew_steps(backend)
+        batched = batch_step(values, max_step, initial)
+        lanes = [
+            lane_step(values[i], max_step, float(initial[i]))
+            for i in range(values.shape[0])
+        ]
         for i, lane in enumerate(lanes):
             if backend == "python":
                 np.testing.assert_array_equal(batched[i], lane)
@@ -100,18 +126,17 @@ class TestSlewLimitBatch:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_default_initial_is_first_sample(self, backend):
         values = _lane_corpus(n_lanes=3, n=200, seed=9)
-        with kernels.use_backend(backend):
-            batched = kernels.slew_limit_batch(values, 0.05)
+        batch_step, _ = _slew_steps(backend)
+        batched = batch_step(values, 0.05, values[:, 0].copy())
         np.testing.assert_array_equal(batched[:, 0], values[:, 0])
 
     def test_batched_python_is_reference_for_numpy(self):
         # Cross-backend: batched numpy vs batched python within the
         # single-lane agreement tolerance.
         values = _lane_corpus(seed=31)
-        with kernels.use_backend("python"):
-            reference = kernels.slew_limit_batch(values, 0.04)
-        with kernels.use_backend("numpy"):
-            vectorised = kernels.slew_limit_batch(values, 0.04)
+        initials = values[:, 0].copy()
+        reference = python_backend.slew_limit_batch(values, 0.04, initials)
+        vectorised = numpy_backend._slew_limit_relax(values, 0.04, initials)
         np.testing.assert_allclose(vectorised, reference, atol=1e-9, rtol=0)
 
 
@@ -175,7 +200,7 @@ class TestFrontierRelaxation:
     @settings(max_examples=150, deadline=None)
     def test_settled_lanes_equal_the_sequential_loop(self, batch):
         targets, max_step, initials = batch
-        out = numpy_backend.slew_limit_batch(targets, max_step, initials)
+        out = numpy_backend._slew_limit_relax(targets, max_step, initials)
         assert out.shape == targets.shape
         steps = np.broadcast_to(max_step, initials.shape)
         for lane in range(targets.shape[0]):
@@ -187,12 +212,12 @@ class TestFrontierRelaxation:
     @settings(max_examples=100, deadline=None)
     def test_lanes_are_independent(self, batch):
         targets, max_step, initials = batch
-        out = numpy_backend.slew_limit_batch(targets, max_step, initials)
+        out = numpy_backend._slew_limit_relax(targets, max_step, initials)
         for lane in range(targets.shape[0]):
             step = max_step
             if isinstance(max_step, np.ndarray):
                 step = max_step[lane : lane + 1]
-            alone = numpy_backend.slew_limit_batch(
+            alone = numpy_backend._slew_limit_relax(
                 targets[lane : lane + 1], step, initials[lane : lane + 1]
             )
             assert out[lane].tobytes() == alone[0].tobytes()
@@ -202,7 +227,7 @@ class TestFrontierRelaxation:
         # cap, so none of them leans on the walk.
         values = _lane_corpus()
         initials = np.linspace(-0.5, 0.5, values.shape[0])
-        out = numpy_backend.slew_limit_batch(values, 0.15, initials)
+        out = numpy_backend._slew_limit_relax(values, 0.15, initials)
         for lane in range(values.shape[0]):
             args = (list(values[lane]), 0.15, float(initials[lane]))
             assert _settles(*args)
@@ -222,7 +247,7 @@ class TestFrontierRelaxation:
             return walk(values, max_step, initial)
 
         monkeypatch.setattr(numpy_backend, "slew_limit", spy)
-        out = numpy_backend.slew_limit_batch(targets, step, np.zeros(2))
+        out = numpy_backend._slew_limit_relax(targets, step, np.zeros(2))
         assert walked == [ramp.size]
         np.testing.assert_allclose(
             out[1], walk(ramp, step, 0.0), atol=1e-12, rtol=0
@@ -234,25 +259,17 @@ class TestFrontierRelaxation:
 
 
 class TestCompressiveSlewLimitBatch:
+    """A many-lane one-stage compressive cascade against its lanes."""
+
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_matches_per_lane(self, backend):
         values = _lane_corpus()
-        args = _compressive_args(values)
+        stage, lane_stages, dt = _compressive_stage(values.shape[0])
         with kernels.use_backend(backend):
-            batched = kernels.compressive_slew_limit_batch(values, **args)
+            batched = kernels.fine_delay_cascade_batch(values, [stage], dt)
             lanes = [
-                kernels.compressive_slew_limit(
-                    values[i],
-                    target_floor=args["target_floor"][i],
-                    target_extra=args["target_extra"][i],
-                    max_step=args["max_step"],
-                    dt=args["dt"],
-                    hysteresis=float(args["hysteresis"][i]),
-                    corner=args["corner"],
-                    order=args["order"],
-                    initial_interval=float(args["initial_interval"][i]),
-                )
-                for i in range(values.shape[0])
+                kernels.fine_delay_cascade(values[i], [lane_stage], dt)
+                for i, lane_stage in enumerate(lane_stages)
             ]
         for i, lane in enumerate(lanes):
             if backend == "python":
@@ -264,12 +281,12 @@ class TestCompressiveSlewLimitBatch:
 
     def test_cross_backend_agreement(self):
         values = _lane_corpus(seed=47)
-        args = _compressive_args(values, seed=3)
+        stage, _, dt = _compressive_stage(values.shape[0], seed=3)
         with kernels.use_backend("python"):
-            reference = kernels.compressive_slew_limit_batch(values, **args)
+            reference = kernels.fine_delay_cascade_batch(values, [stage], dt)
         for backend in ALTERNATES:
             with kernels.use_backend(backend):
-                other = kernels.compressive_slew_limit_batch(values, **args)
+                other = kernels.fine_delay_cascade_batch(values, [stage], dt)
             np.testing.assert_allclose(other, reference, atol=1e-9, rtol=0)
 
 
@@ -311,17 +328,7 @@ class TestBatchedStageEquivalence:
                 buffer.params, rngs
             )
             rngs = spawn_rngs(np.random.default_rng(11), n_lanes)
-            from repro.circuits.vga_buffer import limiting_stage
-
-            lanes = [
-                limiting_stage(
-                    stimulus,
-                    float(buffer.params.amplitude_from_vctrl(0.8)),
-                    buffer.params,
-                    rngs[i],
-                )
-                for i in range(n_lanes)
-            ]
+            lanes = [buffer.process(stimulus, rngs[i]) for i in range(n_lanes)]
         for i, lane in enumerate(lanes):
             np.testing.assert_array_equal(batched.lane(i).values, lane.values)
             assert batched.lane(i).t0 == lane.t0

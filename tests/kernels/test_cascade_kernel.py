@@ -48,8 +48,9 @@ def _restore_backend():
 def _noiseless_plan(values, n_stages):
     """A *n_stages* cascade plan without noise (shared by any lanes)."""
     line = FineDelayLine(n_stages=3, seed=0)
-    stages, _ = line._cascade_plan(
-        Waveform(values, DT, 0.0), np.random.default_rng(0)
+    stages, _ = cascade_plan_pack(
+        [line], WaveformBatch(values[None, :], DT, 0.0),
+        [np.random.default_rng(0)],
     )
     return [
         dataclasses.replace(stage, noise=None) for stage in stages[:n_stages]

@@ -5,6 +5,7 @@ import pytest
 
 from repro import kernels
 from repro.errors import CircuitError, KernelError
+from repro.kernels.cascade import CascadeStage
 
 
 @pytest.fixture(autouse=True)
@@ -86,28 +87,50 @@ class TestUnknownEnvValue:
             assert "numba" not in offered
 
 
+def _one_stage(max_step, corner):
+    """A noiseless one-stage cascade plan (a standalone buffer)."""
+    return [
+        CascadeStage(
+            amplitude=np.asarray(0.4),
+            amplitude_min=0.1,
+            v_linear=0.03,
+            max_step=max_step,
+            corner=corner,
+            order=3,
+            b=np.array([0.5, 0.5]),
+            a=np.array([1.0, 0.0]),
+            zi_unit=np.array([0.5]),
+        )
+    ]
+
+
 class TestWrapperValidation:
     @pytest.mark.parametrize("backend", kernels.BACKEND_NAMES)
     def test_slew_limit_rejects_bad_step(self, backend):
         with kernels.use_backend(backend):
             with pytest.raises(CircuitError):
-                kernels.slew_limit(np.zeros(4), max_step=0.0)
+                kernels.fine_delay_cascade(
+                    np.zeros(4), _one_stage(0.0, np.inf), 1e-12
+                )
 
     @pytest.mark.parametrize("backend", kernels.BACKEND_NAMES)
     def test_compressive_rejects_bad_step(self, backend):
         with kernels.use_backend(backend):
             with pytest.raises(CircuitError):
-                kernels.compressive_slew_limit(
-                    np.ones(4), np.ones(4), np.ones(4),
-                    max_step=-1.0, dt=1e-12, hysteresis=0.1,
-                    corner=6e9, order=3,
+                kernels.fine_delay_cascade(
+                    np.ones(4), _one_stage(-1.0, 6e9), 1e-12
                 )
 
     @pytest.mark.parametrize("backend", kernels.BACKEND_NAMES)
     def test_kernels_accept_non_float_input(self, backend):
+        stages = _one_stage(10.0, 6e9)
         with kernels.use_backend(backend):
-            out = kernels.slew_limit([0, 1, 2, 3], max_step=10.0)
-        np.testing.assert_allclose(out, [0.0, 1.0, 2.0, 3.0])
+            out = kernels.fine_delay_cascade([0, 1, 2, 3], stages, 1e-12)
+            expected = kernels.fine_delay_cascade(
+                np.array([0.0, 1.0, 2.0, 3.0]), stages, 1e-12
+            )
+        assert out.dtype == np.float64
+        assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("backend", kernels.BACKEND_NAMES)
     def test_empty_edge_sets(self, backend):

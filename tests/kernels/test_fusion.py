@@ -20,6 +20,7 @@ import pytest
 from repro import instrument, kernels
 from repro.analysis import measure_delay
 from repro.core import FineDelayLine, calibration_stimulus
+from repro.core.fine_delay import cascade_plan_pack
 from repro.signals.waveform import Waveform, WaveformBatch
 
 DELAY_TOLERANCE = 0.01e-12
@@ -230,8 +231,10 @@ def test_cascade_entry_counts_as_its_own_op(backend):
     layer reads by name."""
     kernels.set_backend(backend)
     stimulus = _stimulus(n_bits=16)
-    stages, _ = FineDelayLine(n_stages=2, seed=0)._cascade_plan(
-        stimulus, np.random.default_rng(0)
+    stages, _ = cascade_plan_pack(
+        [FineDelayLine(n_stages=2, seed=0)],
+        WaveformBatch.from_waveforms([stimulus]),
+        [np.random.default_rng(0)],
     )
     with instrument.enabled_scope(reset=True) as registry:
         kernels.fine_delay_cascade(stimulus.values, stages, stimulus.dt)

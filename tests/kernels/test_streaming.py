@@ -22,10 +22,11 @@ import pytest
 from repro import kernels
 from repro.analysis import measure_delay
 from repro.core import FineDelayLine, StreamProcessor, calibration_stimulus
+from repro.core.fine_delay import cascade_plan_pack
 from repro.errors import CircuitError, WaveformError
 from repro.kernels import python_backend
 from repro.kernels.cascade import fresh_cascade_state
-from repro.signals.waveform import Waveform
+from repro.signals.waveform import Waveform, WaveformBatch
 
 from .test_fusion import per_stage
 
@@ -244,7 +245,11 @@ def test_stream_kernel_single_call_equals_cascade_kernel():
     fed the same generator."""
     stimulus = _stimulus()
     line = FineDelayLine(n_stages=3, seed=2)
-    stages, _ = line._cascade_plan(stimulus, np.random.default_rng(4))
+    stages, _ = cascade_plan_pack(
+        [line],
+        WaveformBatch.from_waveforms([stimulus]),
+        [np.random.default_rng(4)],
+    )
     out_stream = python_backend.fine_delay_cascade(
         stimulus.values[None, :],
         stages,
@@ -262,7 +267,11 @@ def test_stream_kernel_dispatch_rejects_state_mismatch():
     """The dispatcher refuses a state list of the wrong length."""
     stimulus = _stimulus(n_bits=4, dt=10e-12)
     line = FineDelayLine(n_stages=2, seed=0)
-    stages, _ = line._cascade_plan(stimulus, np.random.default_rng(0))
+    stages, _ = cascade_plan_pack(
+        [line],
+        WaveformBatch.from_waveforms([stimulus]),
+        [np.random.default_rng(0)],
+    )
     with pytest.raises(CircuitError):
         kernels.fine_delay_cascade_stream(
             stimulus.values, stages, stimulus.dt, fresh_cascade_state(1)
