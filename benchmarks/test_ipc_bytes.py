@@ -1,6 +1,7 @@
 """IPC-bytes benchmark: the shared-memory transport acceptance number.
 
-The worker pools return results to the parent through a pickle pipe.
+The ``repro.experiments --jobs N`` pool returns results to the parent
+through a pickle pipe.
 ``repro.parallel.encode_payload`` rewrites waveform samples into
 shared-memory tokens before the pickle, so the bytes that actually
 cross the pipe shrink to metadata.

@@ -76,7 +76,7 @@ def test_perf_two_spawn_workers_throughput():
 
 
 def test_perf_wire_codec_round_trip(benchmark):
-    """Serialized (non-shm) result codec on a waveform-heavy payload."""
+    """Serialized result codec on a waveform-heavy payload."""
     rng = np.random.default_rng(3)
     payload = {
         "batch": WaveformBatch(
@@ -87,7 +87,7 @@ def test_perf_wire_codec_round_trip(benchmark):
 
     def round_trip():
         frames = []
-        encoded = encode_tree(payload, frames, use_shm=False)
+        encoded = encode_tree(payload, frames)
         return decode_tree(encoded, frames)
 
     decoded = benchmark.pedantic(round_trip, rounds=5, iterations=2)

@@ -10,8 +10,8 @@ One :class:`MasterScheduler` owns the whole submission lifecycle:
   ``running``, and executes :func:`~repro.campaign.runner.run_campaign`
   in a worker thread so the event loop stays responsive while the
   runner's point scheduling (in-process, or a worker pool for
-  ``jobs > 1`` / ``workers``), shm transport, kill-resume and
-  ``jobs`` semantics are inherited unchanged;
+  ``jobs > 1`` / ``workers``), kill-resume and ``jobs`` semantics
+  are inherited unchanged;
 * **pause/resume** hold and release queued runs; **cancel** removes a
   queued run or sets the running run's cancellation event — the
   runner drains in-flight points into the shared cache and raises

@@ -27,10 +27,10 @@ Properties:
 * Metrics-only payloads (plain dicts of floats) pass through untouched
   — no tokens, no shared memory, no behaviour change.
 
-Campaigns do not use an executor: ``repro.campaign run --jobs N`` runs on
-the :class:`~repro.workers.pool.WorkerPool` (``spawn://N``), whose
-wire protocol parks large arrays through this module's block helpers
-(:mod:`repro.workers.protocol`) with the same ownership rule.
+Campaigns do not use this module: ``repro.campaign run --jobs N`` runs
+on the :class:`~repro.workers.pool.WorkerPool` (``spawn://N``), whose
+wire protocol (:mod:`repro.workers.protocol`) sends any array as a
+binary frame on the worker socket.
 
 Ownership protocol: the encoding (worker) side creates each block,
 copies the samples in, *unregisters* it from its own

@@ -9,10 +9,9 @@ multi-host service.  Three layers, all stdlib + numpy only:
     by **cache identity** (code-version salt + kernel backend) and
     guarded by the shared ``REPRO_MASTER_TOKEN`` secret, point-batch
     dispatch, streamed result upload, ping/pong heartbeats, and
-    work-stealing revocation.  Waveforms and large arrays cross the
-    wire either as dtype/shape-framed raw bytes (remote workers — no
-    pickle) or as named shared-memory blocks (local workers — the
-    PR 5 zero-copy transport).
+    work-stealing revocation.  Waveforms and arrays cross the wire as
+    dtype/shape-framed raw bytes (no pickle), from local and remote
+    workers alike.
 :mod:`repro.workers.pool`
     :class:`~repro.workers.pool.WorkerPool` — the pool-side scheduler
     that shards campaign points across every connected worker,

@@ -4,12 +4,10 @@ Start a worker on any host that can reach the pool::
 
     python -m repro.workers serve --connect pool-host:8761
 
-The shared secret comes from ``REPRO_MASTER_TOKEN`` (or ``--token``);
-``--shm`` opts into the zero-copy shared-memory result transport and
-is only valid when the worker runs on the pool's own host.  The
-pool's own ``spawn://`` workers do not come through this CLI: they are
-:mod:`multiprocessing` children that call
-:func:`repro.workers.worker.serve` directly, with shm on.
+The shared secret comes from ``REPRO_MASTER_TOKEN`` (or ``--token``).
+The pool's own ``spawn://`` workers do not come through this CLI: they
+are :mod:`multiprocessing` children that call
+:func:`repro.workers.worker.serve` directly.
 """
 
 from __future__ import annotations
@@ -38,11 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="address of the pool to join",
     )
     serve_cmd.add_argument(
-        "--shm",
-        action="store_true",
-        help="use shared-memory result transport (same-host pools only)",
-    )
-    serve_cmd.add_argument(
         "--token",
         default=None,
         help="shared secret (default: REPRO_MASTER_TOKEN env var)",
@@ -60,12 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        serve(
-            args.connect,
-            shm=args.shm,
-            token=args.token,
-            retry_s=args.retry,
-        )
+        serve(args.connect, token=args.token, retry_s=args.retry)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,10 +5,10 @@
 * **endpoints** — ``spawn://N`` starts N local worker processes from
   the default :mod:`multiprocessing` context (fork on Linux, so they
   inherit the pool's imports instead of re-importing ``repro``) that
-  connect back over loopback with the zero-copy shared-memory result
-  transport; ``tcp://HOST:PORT`` listens on an interface for remote
-  workers started by hand on other hosts with ``python -m
-  repro.workers serve`` (serialized ndarray-frame results).  A
+  connect back over loopback; ``tcp://HOST:PORT`` listens on an
+  interface for remote workers started by hand on other hosts with
+  ``python -m repro.workers serve``.  Both kinds ship results the same
+  way, as JSON with dtype/shape-framed binary array bodies.  A
   comma-separated spec mixes both.  ``repro.campaign run --jobs N``
   is ``spawn://N``.
 * **handshake** — a connecting worker must present the matching
@@ -60,7 +60,6 @@ from .protocol import (
     point_to_wire,
     read_message,
     recv_message,
-    release_tree,
     send_message,
     sock_read_exactly,
     worker_cache_identity,
@@ -104,6 +103,11 @@ def parse_workers_spec(spec) -> Dict[str, object]:
                     f"--workers endpoint {endpoint!r}: expected "
                     "tcp://HOST:PORT"
                 )
+            if int(port) > 65535:
+                raise WorkerError(
+                    f"--workers endpoint {endpoint!r}: port must be "
+                    "0-65535"
+                )
             listen.append((host or "0.0.0.0", int(port)))
         else:
             raise WorkerError(
@@ -129,7 +133,6 @@ class _WorkerHandle:
     def __init__(self, name: str, sock: socket.socket, hello: dict):
         self.name = name
         self.sock = sock
-        self.shm = bool(hello.get("shm"))
         self.pid = hello.get("pid")
         self.host = hello.get("host", "?")
         self.send_lock = threading.Lock()
@@ -345,7 +348,6 @@ class WorkerPool:
                 "protocol": PROTOCOL_VERSION,
                 "name": name,
                 "heartbeat": self.heartbeat,
-                "shm": handle.shm,
             }
         )
         reader = threading.Thread(
@@ -603,21 +605,12 @@ class WorkerPool:
                 handle.unstealable = False
                 if index in done or index not in by_index:
                     # Duplicate delivery of a stolen/requeued point:
-                    # the first result won; free any parked blocks.
-                    release_tree(envelope)
+                    # the first result won.
                     continue
                 point = by_index[index]
                 with instrument.span("ipc.decode"):
-                    try:
-                        metrics = decode_tree(
-                            envelope.get("metrics"), frames
-                        )
-                        snapshot = decode_tree(
-                            envelope.get("snapshot"), frames
-                        )
-                    except Exception:
-                        release_tree(envelope)
-                        raise
+                    metrics = decode_tree(envelope.get("metrics"), frames)
+                    snapshot = decode_tree(envelope.get("snapshot"), frames)
                 done.add(index)
                 instrument.count("workers.points.completed")
                 on_result(
@@ -761,6 +754,6 @@ class WorkerPool:
 def _serve_local(address: str, token: Optional[str]) -> None:
     """Body of a ``spawn://`` worker process: serve the local pool."""
     try:
-        worker.serve(address, shm=True, token=token)
+        worker.serve(address, token=token)
     except KeyboardInterrupt:
         pass

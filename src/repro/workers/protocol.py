@@ -21,31 +21,24 @@ Result payload encoding
 :func:`encode_tree` walks a result object (metrics dicts, instrument
 snapshots) and rewrites every :class:`~repro.signals.waveform.Waveform`,
 :class:`~repro.signals.waveform.WaveformBatch`, and ndarray into a JSON
-marker:
-
-* ``{"__repro__": "shm", ...}`` — the samples were parked in a named
-  ``multiprocessing.shared_memory`` block via the PR 5 zero-copy
-  transport (:mod:`repro.parallel`); only the name/shape/dtype cross
-  the socket.  Used when pool and worker share a host.
-* ``{"__repro__": "ndarray", "frame": i, ...}`` — the samples follow
-  as binary frame *i* (raw C-order bytes, dtype and shape in the
-  marker; **never pickle**).  The remote fallback.
-
-:func:`decode_tree` is the exact inverse; both paths reconstruct
-byte-identical arrays (tests assert equality against each other).
+marker ``{"__repro__": "ndarray", "frame": i, ...}``: the samples
+follow as binary frame *i* (raw C-order bytes, dtype and shape in the
+marker; **never pickle**).  Local ``spawn://`` and remote workers
+ship results the same way.  :func:`decode_tree` is the exact inverse;
+it accepts only numeric dtypes (bool, integer, float, complex).
 
 Handshake
 ---------
 The first message a worker sends is ``hello``: protocol version, its
 **cache identity** (the campaign cache's code-version salt + the active
-kernel backend), its shared-memory capability, and the
-``REPRO_MASTER_TOKEN`` shared secret when one is set.  The pool replies
-``welcome`` (assigning a name and the heartbeat cadence) or an
-``error`` frame and a close.  Keying the handshake on the cache
-identity makes the content-addressed cache a safe rendezvous: a worker
-built from different code (different salt) or running a different
-kernel backend would poison the byte-stability guarantee, so it is
-rejected before it can compute anything.
+kernel backend), and the ``REPRO_MASTER_TOKEN`` shared secret when
+one is set.  The pool replies ``welcome`` (assigning a name and the
+heartbeat cadence) or an ``error`` frame and a close.  Keying the
+handshake on the cache identity makes the content-addressed cache a
+safe rendezvous: a worker built from different code (different salt)
+or running a different kernel backend would poison the
+byte-stability guarantee, so it is rejected before it can compute
+anything.
 """
 
 from __future__ import annotations
@@ -58,7 +51,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import parallel
 from ..errors import WorkerProtocolError
 from ..kernels import active_backend
 from ..signals.waveform import Waveform, WaveformBatch
@@ -77,7 +69,6 @@ __all__ = [
     "sock_read_exactly",
     "encode_tree",
     "decode_tree",
-    "release_tree",
     "worker_cache_identity",
     "check_token",
     "identity_mismatch",
@@ -101,6 +92,10 @@ _HEADER = struct.Struct(">BI")
 #: Marker key for encoded values; a user dict carrying it would be
 #: ambiguous on decode, so encoding rejects that outright.
 _MARK = "__repro__"
+
+#: dtype kinds an array marker may declare: bool, int, uint, float,
+#: complex.  Object and void dtypes cannot be rebuilt from raw bytes.
+_NUMERIC_KINDS = frozenset("biufc")
 
 
 # -- framing ----------------------------------------------------------------
@@ -224,20 +219,9 @@ def recv_message(
 # -- result payload encoding ------------------------------------------------
 
 
-def _encode_array(
-    array: np.ndarray, frames: List[bytes], use_shm: bool
-) -> Dict[str, Any]:
-    """One ndarray → a shm marker or a binary-frame marker."""
+def _encode_array(array: np.ndarray, frames: List[bytes]) -> Dict[str, Any]:
+    """One ndarray → a binary-frame marker; the body joins *frames*."""
     array = np.ascontiguousarray(array)
-    if use_shm and parallel.SHM_AVAILABLE:
-        parked = parallel._park_array(array)
-        if isinstance(parked, parallel.ShmArray):
-            return {
-                _MARK: "shm",
-                "name": parked.name,
-                "shape": list(parked.shape),
-                "dtype": parked.dtype,
-            }
     marker = {
         _MARK: "ndarray",
         "frame": len(frames),
@@ -248,15 +232,11 @@ def _encode_array(
     return marker
 
 
-def encode_tree(
-    obj: Any, frames: List[bytes], use_shm: bool = False
-) -> Any:
+def encode_tree(obj: Any, frames: List[bytes]) -> Any:
     """Rewrite arrays/waveforms in *obj* into wire markers.
 
     Appends binary bodies to *frames* (callers pass the same list for
-    a whole message).  With *use_shm*, arrays are parked in
-    shared-memory blocks instead (falling back to frames when a block
-    cannot be created).  Scalars, strings, bools, and None pass
+    a whole message).  Scalars, strings, bools, and None pass
     through; numpy scalars are converted to their Python equivalents;
     tuples become lists (JSON has no tuple).
     """
@@ -265,17 +245,17 @@ def encode_tree(
             _MARK: "waveform",
             "dt": float(obj.dt),
             "t0": float(obj.t0),
-            "samples": _encode_array(obj.values, frames, use_shm),
+            "samples": _encode_array(obj.values, frames),
         }
     if isinstance(obj, WaveformBatch):
         return {
             _MARK: "waveform_batch",
             "dt": float(obj.dt),
             "t0": [float(t) for t in obj.t0],
-            "samples": _encode_array(obj.values, frames, use_shm),
+            "samples": _encode_array(obj.values, frames),
         }
     if isinstance(obj, np.ndarray):
-        return _encode_array(obj, frames, use_shm)
+        return _encode_array(obj, frames)
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, dict):
@@ -284,11 +264,11 @@ def encode_tree(
                 f"payload dicts may not use the reserved key {_MARK!r}"
             )
         return {
-            str(key): encode_tree(value, frames, use_shm)
+            str(key): encode_tree(value, frames)
             for key, value in obj.items()
         }
     if isinstance(obj, (list, tuple)):
-        return [encode_tree(item, frames, use_shm) for item in obj]
+        return [encode_tree(item, frames) for item in obj]
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     raise WorkerProtocolError(
@@ -297,23 +277,15 @@ def encode_tree(
 
 
 def _decode_array(marker: Dict[str, Any], frames: List[bytes]) -> np.ndarray:
-    kind = marker.get(_MARK)
     try:
         shape = tuple(int(n) for n in marker["shape"])
         dtype = np.dtype(str(marker["dtype"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise WorkerProtocolError(f"corrupt array marker: {exc}") from exc
-    if kind == "shm":
-        token = parallel.ShmArray(
-            str(marker["name"]), shape, str(marker["dtype"])
+    if dtype.kind not in _NUMERIC_KINDS:
+        raise WorkerProtocolError(
+            f"array marker declares non-numeric dtype {dtype.str!r}"
         )
-        try:
-            return parallel._claim_array(token)
-        except FileNotFoundError as exc:
-            raise WorkerProtocolError(
-                f"shared-memory block {token.name!r} vanished before "
-                "the pool could claim it"
-            ) from exc
     index = marker.get("frame")
     if not isinstance(index, int) or not 0 <= index < len(frames):
         raise WorkerProtocolError(f"bad binary frame index: {index!r}")
@@ -348,36 +320,12 @@ def decode_tree(obj: Any, frames: List[bytes]) -> Any:
                 float(obj["dt"]),
                 np.array([float(t) for t in obj["t0"]]),
             )
-        if kind in ("shm", "ndarray"):
+        if kind == "ndarray":
             return _decode_array(obj, frames)
         raise WorkerProtocolError(f"unknown payload marker {kind!r}")
     if isinstance(obj, list):
         return [decode_tree(item, frames) for item in obj]
     return obj
-
-
-def release_tree(obj: Any) -> None:
-    """Unlink every shm block a not-to-be-decoded tree still names.
-
-    The pool calls this when it drops a result it will never decode
-    (duplicate delivery of a stolen point, teardown) so local workers'
-    parked blocks can never outlive the campaign.
-    """
-    if isinstance(obj, dict):
-        if obj.get(_MARK) == "shm":
-            parallel.release_payload(
-                parallel.ShmArray(
-                    str(obj.get("name", "")),
-                    tuple(obj.get("shape", ())),
-                    str(obj.get("dtype", "float64")),
-                )
-            )
-            return
-        for value in obj.values():
-            release_tree(value)
-    elif isinstance(obj, list):
-        for item in obj:
-            release_tree(item)
 
 
 # -- handshake helpers ------------------------------------------------------

@@ -16,11 +16,10 @@ serves until told to stop:
   per-point seeding, so results are byte-identical to any other
   executor), and streams each result back the moment it finishes.
 
-Results travel as the protocol's encoded tree: zero-copy shared
-memory when the worker runs on the pool's host (``spawn://`` workers,
-or ``serve --shm``),
-dtype/shape-framed raw bytes otherwise.  A failed point is reported
-as a ``point_error`` frame; the worker itself keeps serving.
+Results travel as the protocol's encoded tree: JSON with every array
+as a dtype/shape-framed binary frame, whether the worker is a
+``spawn://`` child or runs on another host.  A failed point is
+reported as a ``point_error`` frame; the worker itself keeps serving.
 """
 
 from __future__ import annotations
@@ -48,16 +47,8 @@ __all__ = ["WorkerSession", "serve"]
 class WorkerSession:
     """One worker's lifetime on one pool connection."""
 
-    def __init__(
-        self,
-        sock: socket.socket,
-        *,
-        shm: bool = False,
-        token: Optional[str] = None,
-    ):
+    def __init__(self, sock: socket.socket, *, token: Optional[str] = None):
         self.sock = sock
-        self.want_shm = bool(shm)
-        self.shm = False  # granted by the pool in the welcome
         self.token = (
             token
             if token is not None
@@ -87,7 +78,6 @@ class WorkerSession:
                 "protocol": PROTOCOL_VERSION,
                 "token": self.token,
                 "identity": worker_cache_identity(),
-                "shm": self.want_shm,
                 "pid": os.getpid(),
                 "host": socket.gethostname(),
             }
@@ -102,7 +92,6 @@ class WorkerSession:
                 f"expected welcome, got {reply.get('type')!r}"
             )
         self.name = str(reply.get("name", "?"))
-        self.shm = bool(reply.get("shm"))
 
     # -- inbound (reader thread) -------------------------------------------
 
@@ -202,12 +191,8 @@ class WorkerSession:
                 "type": "result",
                 "index": index,
                 "duration_s": duration_s,
-                "metrics": encode_tree(
-                    metrics, frames, use_shm=self.shm
-                ),
-                "snapshot": encode_tree(
-                    snapshot, frames, use_shm=self.shm
-                ),
+                "metrics": encode_tree(metrics, frames),
+                "snapshot": encode_tree(snapshot, frames),
             }
             try:
                 self._send(envelope, tuple(frames))
@@ -295,7 +280,6 @@ class WorkerSession:
 def serve(
     address: str,
     *,
-    shm: bool = False,
     token: Optional[str] = None,
     retry_s: float = 10.0,
 ) -> None:
@@ -324,4 +308,4 @@ def serve(
                 ) from exc
             time.sleep(0.2)
     sock.settimeout(None)
-    WorkerSession(sock, shm=shm, token=token).run()
+    WorkerSession(sock, token=token).run()

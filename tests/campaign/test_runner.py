@@ -5,15 +5,15 @@ PRBS, 5 calibration points) so a point costs ~0.25 s and the whole
 module stays test-tier fast.
 """
 
+import glob
 import multiprocessing
-import os
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro import instrument, parallel
+from repro import instrument
 from repro.campaign import (
     CampaignSpec,
     ResultCache,
@@ -216,17 +216,30 @@ def _drain_worker(point):
     return {"delay_ps": float(point.index)}
 
 
-def _shm_drain_worker(point):
+def _trace(index):
+    # 64 KiB of distinct float64 values, so a byte slip shows.
+    return np.random.default_rng(index).normal(size=8192)
+
+
+def _array_drain_worker(point):
     if point.index == 0:
         time.sleep(0.25)
         raise RuntimeError("injected point failure")
     time.sleep(0.5)
-    return {
-        "delay_ps": float(point.index),
-        # 64 KiB, well past MIN_SHM_BYTES: forces the result through
-        # a shared-memory block the parent must decode or leak.
-        "trace": np.zeros(8192, dtype=np.float64),
-    }
+    return {"delay_ps": float(point.index), "trace": _trace(point.index)}
+
+
+class _ArrayCache(ResultCache):
+    """A result cache that stores ndarray metrics as JSON lists."""
+
+    def put(self, point, metrics):
+        return super().put(
+            point,
+            {
+                key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in metrics.items()
+            },
+        )
 
 
 fork_only = pytest.mark.skipif(
@@ -261,21 +274,23 @@ class TestFailureDrain:
         ]
         assert survivors, "no completed point survived into the cache"
 
-    def test_failure_releases_inflight_shm(self, tmp_path, monkeypatch):
-        if not parallel.SHM_AVAILABLE or not os.path.isdir("/dev/shm"):
-            pytest.skip("POSIX shared memory not observable here")
-        monkeypatch.setattr(runner, "evaluate_point", _shm_drain_worker)
-        before = set(os.listdir("/dev/shm"))
+    def test_failure_drains_inflight_array_into_cache(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(runner, "evaluate_point", _array_drain_worker)
+        before = set(glob.glob("/dev/shm/psm_*"))
+        cache = _ArrayCache(tmp_path / "cache")
+        spec = tiny_spec()
         with pytest.raises(CampaignError, match="point 0"):
-            run_campaign(tiny_spec(), jobs=2)
-        # Completed-but-undecoded payloads would leave psm_* blocks
-        # behind (the pre-drain leak); the drain claims every one.
-        leaked = {
-            name
-            for name in set(os.listdir("/dev/shm")) - before
-            if name.startswith("psm_")
-        }
-        assert not leaked, f"leaked shm blocks: {sorted(leaked)}"
+            run_campaign(spec, jobs=2, cache=cache)
+        # Point 1 was mid-flight when point 0 failed: its array crossed
+        # the wire as a binary frame and the drain cached it intact.
+        cached = cache.get(expand_points(spec)[1])
+        assert cached is not None, "the in-flight point was not drained"
+        assert np.array(cached["trace"]).tobytes() == _trace(1).tobytes()
+        # Results travel as frames: no shared-memory block is created.
+        created = set(glob.glob("/dev/shm/psm_*")) - before
+        assert not created, f"shared-memory blocks created: {sorted(created)}"
 
 
 class TestSequentialFailure:

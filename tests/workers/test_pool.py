@@ -1,16 +1,16 @@
 """Integration tests for the distributed worker pool.
 
-These run real ``spawn://`` worker processes (loopback TCP + shared
-memory), a ``python -m repro.workers serve`` subprocess on a
-``tcp://`` pool, and hand-rolled fake workers (a raw socket speaking
-just enough protocol) to exercise the failure paths — auth rejection,
-heartbeat death, requeue, mid-run SIGKILL — without waiting on real
-crashes.
+These run real ``spawn://`` worker processes (loopback TCP), a
+``python -m repro.workers serve`` subprocess on a ``tcp://`` pool, and
+hand-rolled fake workers (a raw socket speaking just enough protocol)
+to exercise the failure paths — auth rejection, heartbeat death,
+requeue, mid-run SIGKILL — without waiting on real crashes.
 """
 
 import glob
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -18,17 +18,19 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro
 
 from repro.campaign.runner import evaluate_point, run_campaign
 from repro.campaign.spec import CampaignSpec, expand_points
-from repro.errors import CampaignError, WorkerError
+from repro.errors import CampaignError, WorkerError, WorkerProtocolError
 from repro.workers import WorkerPool, parse_workers_spec
 from repro.workers.pool import PointFailure
 from repro.workers.protocol import (
     PROTOCOL_VERSION,
+    encode_tree,
     recv_message,
     send_message,
     worker_cache_identity,
@@ -65,13 +67,28 @@ class TestParseWorkersSpec:
         assert parse_workers_spec("tcp://:9000")["listen"] == [
             ("0.0.0.0", 9000)
         ]
+        assert parse_workers_spec("tcp://127.0.0.1:0")["listen"] == [
+            ("127.0.0.1", 0)
+        ]
+        assert parse_workers_spec("tcp://:65535")["listen"] == [
+            ("0.0.0.0", 65535)
+        ]
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "spawn://0", "spawn://x", "tcp://host", "carrier://2", ","],
+        [
+            "",
+            "spawn://0",
+            "spawn://x",
+            "tcp://host",
+            "tcp://127.0.0.1:70000",
+            "tcp://:65536",
+            "carrier://2",
+            ",",
+        ],
     )
     def test_rejects_bad_specs(self, bad):
-        with pytest.raises(WorkerError):
+        with pytest.raises(WorkerError, match=re.escape(repr(bad))):
             parse_workers_spec(bad)
 
 
@@ -80,9 +97,12 @@ def fake_worker_hello(
     token=None,
     identity=None,
     protocol=PROTOCOL_VERSION,
-    shm=False,
+    **fields,
 ):
-    """Dial a pool and perform the worker side of the handshake."""
+    """Dial a pool and perform the worker side of the handshake.
+
+    Extra keyword *fields* are added to the hello as they are.
+    """
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     send_message(
         sock,
@@ -91,9 +111,9 @@ def fake_worker_hello(
             "protocol": protocol,
             "token": token,
             "identity": identity or worker_cache_identity(),
-            "shm": shm,
             "pid": os.getpid(),
             "host": "fake",
+            **fields,
         },
     )
     reply, _frames = recv_message(sock)
@@ -137,6 +157,54 @@ class TestHandshake:
             assert reply["type"] == "error"
             assert "version mismatch" in reply["error"]
             sock.close()
+
+    def test_shm_hello_is_welcomed_without_grant_and_frames_decode(self):
+        # A worker built before results always travelled as binary
+        # frames still asks for shared memory.  It is welcomed without
+        # a grant, so it sends frames, and those decode.
+        points = expand_points(tiny_spec(rates=["2.4 Gbps"]))
+        trace = np.random.default_rng(9).normal(size=8192)
+        box = {}
+        with WorkerPool("tcp://127.0.0.1:0") as pool:
+            port = listen_port(pool)
+
+            def fake_main():
+                sock, box["reply"] = fake_worker_hello(port, shm=True)
+                try:
+                    envelope, _frames = recv_message(sock)
+                    while envelope["type"] != "batch":
+                        envelope, _frames = recv_message(sock)
+                    frames = []
+                    send_message(
+                        sock,
+                        {
+                            "type": "result",
+                            "index": envelope["points"][0]["index"],
+                            "duration_s": 0.0,
+                            "metrics": encode_tree({"trace": trace}, frames),
+                            "snapshot": None,
+                        },
+                        tuple(frames),
+                    )
+                    recv_message(sock)  # shutdown, or the pool closing
+                except (WorkerProtocolError, OSError):
+                    pass
+                finally:
+                    sock.close()
+
+            thread = threading.Thread(target=fake_main, daemon=True)
+            thread.start()
+            got = {}
+            finished = pool.run(
+                points,
+                on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
+            )
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert box["reply"]["type"] == "welcome"
+        assert "shm" not in box["reply"]
+        assert finished
+        assert got[points[0].index]["trace"].tobytes() == trace.tobytes()
 
     def test_no_workers_times_out(self):
         with WorkerPool("tcp://127.0.0.1:0", connect_timeout=0.3) as pool:
@@ -280,8 +348,7 @@ class TestRemoteWorkerCli:
                     points,
                     on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
                 )
-                # Serialized frames, not the same-host shm transport.
-                assert [h.shm for h in pool.live_workers()] == [False]
+                assert len(pool.live_workers()) == 1
             except BaseException:
                 proc.kill()
                 raise

@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from repro import parallel
 from repro.campaign.spec import CampaignSpec, expand_points
 from repro.errors import WorkerProtocolError
 from repro.signals.waveform import Waveform, WaveformBatch
@@ -130,38 +129,15 @@ class TestPayloadTrees:
     def test_serialized_path_round_trip(self):
         original = self.payload()
         frames = []
-        encoded = encode_tree(original, frames, use_shm=False)
+        encoded = encode_tree(original, frames)
         # The envelope itself must be pure JSON (no pickle anywhere).
         json.dumps(encoded)
         decoded = decode_tree(encoded, frames)
         self.assert_equal_payload(original, decoded)
 
-    @pytest.mark.skipif(
-        not parallel.SHM_AVAILABLE, reason="no shared memory here"
-    )
-    def test_shm_and_serialized_paths_are_byte_identical(self):
-        original = self.payload()
-        serialized_frames = []
-        via_frames = decode_tree(
-            encode_tree(original, serialized_frames, use_shm=False),
-            serialized_frames,
-        )
-        shm_frames = []
-        via_shm = decode_tree(
-            encode_tree(original, shm_frames, use_shm=True), shm_frames
-        )
-        for key in ("wave", "batch"):
-            assert (
-                via_frames[key].values.tobytes()
-                == via_shm[key].values.tobytes()
-            )
-        assert (
-            via_frames["array"].tobytes() == via_shm["array"].tobytes()
-        )
-
     def test_corrupt_binary_frame_rejected(self):
         frames = []
-        encoded = encode_tree({"a": np.arange(8.0)}, frames, use_shm=False)
+        encoded = encode_tree({"a": np.arange(8.0)}, frames)
         frames[0] = frames[0][:-8]  # drop one float64
         with pytest.raises(WorkerProtocolError, match="declares"):
             decode_tree(encoded, frames)
@@ -175,6 +151,19 @@ class TestPayloadTrees:
         }
         with pytest.raises(WorkerProtocolError, match="frame index"):
             decode_tree(marker, [])
+
+    @pytest.mark.parametrize("dtype", ["O", "V8"])
+    def test_non_numeric_dtype_rejected(self, dtype):
+        # An object array cannot be rebuilt from raw bytes, and a void
+        # one would decode to an opaque record: both are corrupt.
+        marker = {
+            "__repro__": "ndarray",
+            "frame": 0,
+            "shape": [1],
+            "dtype": dtype,
+        }
+        with pytest.raises(WorkerProtocolError, match="non-numeric"):
+            decode_tree(marker, [bytes(8)])
 
     def test_unknown_marker_rejected(self):
         with pytest.raises(WorkerProtocolError, match="unknown payload"):

@@ -2,8 +2,8 @@
 
 The test plays the pool's side of the protocol by hand against a real
 :class:`WorkerSession` running in a thread, so the full serialized
-(non-shm) result path — evaluate, encode, frame, decode — is
-exercised without subprocesses.
+result path — evaluate, encode, frame, decode — is exercised without
+subprocesses.
 """
 
 import json
@@ -39,14 +39,14 @@ TINY = {
 def session():
     """(pool-side socket, running WorkerSession, its thread)."""
     pool_side, worker_side = socket.socketpair()
-    worker = WorkerSession(worker_side, shm=False, token="t0k3n")
+    worker = WorkerSession(worker_side, token="t0k3n")
     thread = threading.Thread(target=worker.run, daemon=True)
     thread.start()
     hello, _frames = recv_message(pool_side)
     assert hello["type"] == "hello"
     assert hello["protocol"] == PROTOCOL_VERSION
     assert hello["token"] == "t0k3n"
-    assert hello["shm"] is False
+    assert "shm" not in hello
     send_message(
         pool_side,
         {
@@ -54,7 +54,6 @@ def session():
             "protocol": PROTOCOL_VERSION,
             "name": "w0",
             "heartbeat": 1.0,
-            "shm": False,
         },
     )
     yield pool_side, worker, thread
@@ -178,7 +177,7 @@ class TestWorkerSession:
 class TestHandshakeRejection:
     def test_pool_error_reply_raises(self):
         pool_side, worker_side = socket.socketpair()
-        worker = WorkerSession(worker_side, shm=False)
+        worker = WorkerSession(worker_side)
         failure = {}
 
         def run():
