@@ -44,12 +44,11 @@ def run_sharded(workers_spec, points):
         pool.start()
         pool.wait_for_workers(timeout=120)
         t0 = time.perf_counter()
-        finished = pool.run(
+        pool.run(
             points,
             on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
         )
         elapsed = time.perf_counter() - t0
-    assert finished
     return elapsed, got
 
 

@@ -22,7 +22,7 @@ import argparse
 import sys
 
 from .. import instrument, parallel
-from ..errors import ReproError
+from ..errors import CampaignError, ReproError
 from ..kernels import active_backend
 from .packing import validate_batch_lanes
 from .report import build_report, format_report, validate_report, write_report
@@ -88,6 +88,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise CampaignError(f"--limit must be >= 0, got {args.limit}")
     spec = CampaignSpec.load(args.spec)
     points = expand_points(spec, limit=args.limit)
     total = spec.n_points()

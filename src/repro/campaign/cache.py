@@ -60,13 +60,12 @@ class ResultCache:
         a custom salt to simulate a code-version bump.
 
     One instance may be shared across sequential runs *and* across
-    threads: the master daemon holds a single cache for its whole
-    lifetime (the shared result store every submitted campaign reads
-    and writes), with run_campaign executing in a worker thread while
-    status endpoints read :meth:`stats` from the event loop.  Entry
-    I/O is already safe (content-addressed keys, atomic same-dir
-    renames); the tally dict is guarded by a lock so concurrent reads
-    see consistent totals.
+    threads: a :class:`~repro.workers.pool.WorkerPool` runs reader and
+    heartbeat threads beside the caller's, and nothing stops a caller
+    from reading :meth:`stats` off its own thread.  Entry I/O is
+    already safe (content-addressed keys, atomic same-dir renames);
+    the tally dict is guarded by a lock so concurrent reads see
+    consistent totals.
     """
 
     def __init__(self, directory, salt: str = CACHE_SALT):

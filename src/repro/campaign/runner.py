@@ -7,7 +7,7 @@ cache, and schedules the rest on one of two paths: an in-process loop
 is spelled ``spawn://N``; ``workers`` names any endpoint spec).  Both
 paths settle results through the same function — metrics, status,
 instrument snapshot, cache write, progress — so failure attribution,
-cancel drain and kill-resume behave alike.  Every point is evaluated
+failure drain and kill-resume behave alike.  Every point is evaluated
 with a seed derived from its own identity, so results are bit-for-bit
 identical regardless of worker count or completion order, and every
 computed point is written to the cache as soon as it finishes — a
@@ -30,7 +30,6 @@ Scenario evaluators
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -59,7 +58,7 @@ from ..core.params import (
     FOUR_STAGE_BUFFER,
     SOURCE_RISE_TIME,
 )
-from ..errors import CampaignCancelled, CampaignError
+from ..errors import CampaignError
 from ..parallel import validate_jobs
 from ..experiments.common import WARMUP_TIME, steady_state
 from ..signals.patterns import prbs_sequence
@@ -346,8 +345,6 @@ def _one_by_one(points: Sequence[CampaignPoint]) -> List[dict]:
     for point in points:
         try:
             results.append(evaluate_point(point))
-        except CampaignCancelled:
-            raise
         except Exception as exc:
             raise PackPointFailure(str(exc), point.index) from exc
     return results
@@ -387,8 +384,6 @@ def evaluate_pack(points: Sequence[CampaignPoint]) -> List[dict]:
     try:
         with instrument.span(name):
             results = scenario.evaluate(points)
-    except CampaignCancelled:
-        raise
     except Exception:
         instrument.count("campaign.pack_fallback_scalar", len(points))
         return _one_by_one(points)
@@ -435,12 +430,11 @@ class CampaignResult:
 
     ``metrics[i]`` corresponds to ``points[i]`` (campaign expansion
     order) — the alignment is never compacted.  A point that was not
-    evaluated (a cancelled run's tail) keeps ``None`` in ``metrics``
-    and the explicit status ``"missing"`` in ``statuses``; satisfied
-    points carry ``"cached"`` or ``"computed"``.  ``computed`` /
-    ``cached`` count the points by how they were satisfied;
-    ``cache_stats`` is the cache's tally dict (empty when no cache
-    directory was used).
+    evaluated keeps ``None`` in ``metrics`` and the explicit status
+    ``"missing"`` in ``statuses``; satisfied points carry ``"cached"``
+    or ``"computed"``.  ``computed`` / ``cached`` count the points by
+    how they were satisfied; ``cache_stats`` is the cache's tally dict
+    (empty when no cache directory was used).
     """
 
     spec: CampaignSpec
@@ -493,7 +487,6 @@ def run_campaign(
     cache_dir: Optional[str] = None,
     cache: Optional[ResultCache] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    cancel: Optional[threading.Event] = None,
     workers: Optional[str] = None,
     batch_lanes: Union[int, str] = 1,
 ) -> CampaignResult:
@@ -536,13 +529,6 @@ def run_campaign(
         instead of constructing one from *cache_dir*.
     progress:
         Optional callback ``(done, total)`` invoked after each point.
-    cancel:
-        Optional :class:`threading.Event`; once set, no further points
-        are scheduled, in-flight points are drained into the cache,
-        and :class:`~repro.errors.CampaignCancelled` is raised with
-        the partial result attached.  This is the master daemon's
-        cancellation hook; point granularity (a running point always
-        finishes) keeps every completed evaluation cached.
 
     Raises
     ------
@@ -551,8 +537,6 @@ def run_campaign(
         are still decoded and written to the cache first, so a rerun
         after the fix recomputes only what is genuinely missing, and
         the exception names the failing point.
-    CampaignCancelled
-        When *cancel* was set mid-run (see above).
     """
     jobs = validate_jobs(jobs, flag="jobs")
     lanes = resolve_batch_lanes(batch_lanes, flag="batch_lanes")
@@ -583,28 +567,6 @@ def run_campaign(
         cached = total - len(pending)
         done = cached
 
-        def result() -> CampaignResult:
-            return CampaignResult(
-                spec=spec,
-                points=points,
-                metrics=metrics,
-                statuses=statuses,
-                computed=statuses.count("computed"),
-                cached=cached,
-                duration_s=time.perf_counter() - t0,
-                jobs=jobs,
-                cache_stats={} if cache is None else cache.stats(),
-            )
-
-        def raise_cancelled():
-            instrument.count("campaign.runs.cancelled")
-            raise CampaignCancelled(
-                f"campaign {spec.name!r} cancelled at {done}/{total} points",
-                done=done,
-                total=total,
-                partial=result(),
-            )
-
         def settle(point, value, _duration_s=0.0, snapshot=None) -> None:
             """Record one computed point; the pool's ``on_result`` too."""
             nonlocal done
@@ -629,8 +591,6 @@ def run_campaign(
         instrument.count("campaign.points.scheduled", len(pending))
         if progress is not None and done:
             progress(done, total)
-        if cancel is not None and cancel.is_set():
-            raise_cancelled()
 
         if lanes > 1:
             keys = {point.index: _pack_key(point) for point in pending}
@@ -668,21 +628,16 @@ def run_campaign(
             pack_kwargs = {"packs": packs} if packs else {}
             with WorkerPool(workers) as pool:
                 try:
-                    finished = pool.run(
+                    pool.run(
                         pending,
                         collect=instrument.enabled(),
                         on_result=settle,
-                        cancel=cancel,
                         **pack_kwargs,
                     )
                 except PointFailure as exc:
                     raise failed(exc.point, exc) from exc
-            if not finished:
-                raise_cancelled()
         else:
             for unit in units:
-                if cancel is not None and cancel.is_set():
-                    raise_cancelled()
                 try:
                     if len(unit) == 1:
                         with instrument.span("campaign.point"):
@@ -690,10 +645,18 @@ def run_campaign(
                     else:
                         with instrument.span("campaign.pack"):
                             results = evaluate_pack(unit)
-                except CampaignCancelled:
-                    raise
                 except Exception as exc:
                     raise failed(_failing_point(exc, unit), exc) from exc
                 for point, value in zip(unit, results):
                     settle(point, value)
-    return result()
+    return CampaignResult(
+        spec=spec,
+        points=points,
+        metrics=metrics,
+        statuses=statuses,
+        computed=statuses.count("computed"),
+        cached=cached,
+        duration_s=time.perf_counter() - t0,
+        jobs=jobs,
+        cache_stats={} if cache is None else cache.stats(),
+    )

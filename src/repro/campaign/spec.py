@@ -431,6 +431,8 @@ def expand_points(
         for name, value in combo:
             params[name] = value
         for instance in range(spec.n_instances):
+            if limit is not None and index >= limit:
+                return points
             points.append(
                 CampaignPoint(
                     scenario=spec.scenario,
@@ -442,6 +444,4 @@ def expand_points(
                 )
             )
             index += 1
-            if limit is not None and index >= limit:
-                return points
     return points

@@ -18,9 +18,6 @@ __all__ = [
     "KernelError",
     "InstrumentError",
     "CampaignError",
-    "CampaignCancelled",
-    "MasterError",
-    "AuthError",
     "WorkerError",
     "WorkerProtocolError",
     "CalibrationError",
@@ -69,33 +66,6 @@ class InstrumentError(ReproError, ValueError):
 
 class CampaignError(ReproError, ValueError):
     """A campaign spec, cache entry, or report is invalid."""
-
-
-class CampaignCancelled(CampaignError):
-    """A campaign run was cancelled before every point completed.
-
-    Carries the progress at the moment of cancellation (``done`` /
-    ``total`` points) and, when the runner could assemble one, the
-    ``partial`` :class:`~repro.campaign.runner.CampaignResult` whose
-    per-point statuses mark the points that never ran.  Every point
-    that *did* complete was already written to the result cache, so a
-    resubmission of the same spec resumes from there.
-    """
-
-    def __init__(self, message: str, done: int = 0, total: int = 0,
-                 partial=None):
-        super().__init__(message)
-        self.done = int(done)
-        self.total = int(total)
-        self.partial = partial
-
-
-class MasterError(ReproError):
-    """The campaign master daemon (or its client protocol) failed."""
-
-
-class AuthError(MasterError):
-    """A request failed the shared-secret (``REPRO_MASTER_TOKEN``) check."""
 
 
 class WorkerError(ReproError):

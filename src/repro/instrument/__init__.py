@@ -132,17 +132,16 @@ def registry_scope(
 ) -> Iterator[Registry]:
     """Swap in a private registry (fresh by default) for a ``with`` block.
 
-    This is the **per-run scoping** hook the campaign master daemon
-    uses: every queued run executes inside its own registry, so its
-    counters and spans (and the counter deltas streamed to watching
-    clients) describe exactly that run — not the daemon's lifetime
-    tally — while instrumentation points throughout the library keep
+    This is the **per-run scoping** hook: a benchmark loop runs each
+    campaign inside its own registry, so its counters and spans
+    describe exactly that run — not the process's lifetime tally —
+    while instrumentation points throughout the library keep
     funnelling through the module-level facade unchanged.
 
     The swap is process-global, so scopes must not overlap: one
-    writer at a time (the master executes runs sequentially off its
-    queue, which is what makes this exact).  On exit both the previous
-    registry and the previous enabled flag are restored.
+    writer at a time (runs execute sequentially, which is what makes
+    this exact).  On exit both the previous registry and the previous
+    enabled flag are restored.
 
     ``record=False`` installs the registry without enabling recording
     (rarely useful; symmetry with :func:`enabled_scope`).

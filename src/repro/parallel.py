@@ -281,12 +281,11 @@ def release_payload(obj: Any) -> None:
     """Unlink every shm block referenced by an *undecoded* payload.
 
     The counterpart of :func:`decode_payload` for payloads that will
-    never be decoded: a drained-but-discarded worker result (the
-    campaign runner unwinding after one point failed, a cancelled run
-    abandoning in-flight results).  Each token's block is attached and
-    unlinked; blocks already claimed or released are skipped.  Safe on
-    payloads that were never encoded, and a no-op when shared memory
-    is unavailable.
+    never be decoded: a drained-but-discarded worker result (a pool
+    unwinding after one task failed).  Each token's block is attached
+    and unlinked; blocks already claimed or released are skipped.
+    Safe on payloads that were never encoded, and a no-op when shared
+    memory is unavailable.
     """
     if SHM_AVAILABLE:
         _release_tokens(obj)

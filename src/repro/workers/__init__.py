@@ -4,14 +4,13 @@
 multi-host service.  Three layers, all stdlib + numpy only:
 
 :mod:`repro.workers.protocol`
-    A versioned, length-prefixed JSON/binary frame protocol (sans-io,
-    like :mod:`repro.master.protocol`): hello/welcome handshake keyed
-    by **cache identity** (code-version salt + kernel backend) and
-    guarded by the shared ``REPRO_MASTER_TOKEN`` secret, point-batch
-    dispatch, streamed result upload, ping/pong heartbeats, and
-    work-stealing revocation.  Waveforms and arrays cross the wire as
-    dtype/shape-framed raw bytes (no pickle), from local and remote
-    workers alike.
+    A versioned, length-prefixed JSON/binary frame protocol (sans-io):
+    hello/welcome handshake keyed by **cache identity** (code-version
+    salt + kernel backend) and guarded by the shared
+    ``REPRO_MASTER_TOKEN`` secret, point-batch dispatch, streamed
+    result upload, ping/pong heartbeats, and work-stealing revocation.
+    Waveforms and arrays cross the wire as dtype/shape-framed raw
+    bytes (no pickle), from local and remote workers alike.
 :mod:`repro.workers.pool`
     :class:`~repro.workers.pool.WorkerPool` — the pool-side scheduler
     that shards campaign points across every connected worker,

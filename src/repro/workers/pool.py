@@ -57,6 +57,7 @@ from .protocol import (
     check_token,
     decode_tree,
     identity_mismatch,
+    parse_address,
     point_to_wire,
     read_message,
     recv_message,
@@ -96,19 +97,13 @@ def parse_workers_spec(spec) -> Dict[str, object]:
                 )
             spawn += int(count)
         elif endpoint.startswith("tcp://"):
-            rest = endpoint[len("tcp://"):]
-            host, _, port = rest.rpartition(":")
-            if not port.isdigit():
-                raise WorkerError(
-                    f"--workers endpoint {endpoint!r}: expected "
-                    "tcp://HOST:PORT"
+            listen.append(
+                parse_address(
+                    endpoint[len("tcp://"):],
+                    what=f"--workers endpoint {endpoint!r}",
+                    default_host="0.0.0.0",
                 )
-            if int(port) > 65535:
-                raise WorkerError(
-                    f"--workers endpoint {endpoint!r}: port must be "
-                    "0-65535"
-                )
-            listen.append((host or "0.0.0.0", int(port)))
+            )
         else:
             raise WorkerError(
                 f"unknown --workers endpoint {endpoint!r}; expected "
@@ -461,17 +456,13 @@ class WorkerPool:
         *,
         collect: bool = False,
         on_result: Callable[[object, dict, float, Optional[dict]], None],
-        cancel: Optional[threading.Event] = None,
         packs: Optional[List[List[int]]] = None,
-    ) -> bool:
-        """Evaluate *points* across the pool; returns ``False`` on cancel.
+    ) -> None:
+        """Evaluate *points* across the pool.
 
         ``on_result(point, metrics, duration_s, snapshot)`` fires on
         the calling thread for every completed point, in completion
-        order.  On cancellation the undispatched queue is dropped,
-        queued points are revoked from every worker, in-flight points
-        are drained through ``on_result`` (so their compute still
-        lands in the cache), and the method returns ``False``.
+        order.
 
         *packs* optionally groups point indices into lane packs (see
         :mod:`repro.campaign.packing`): each group is dispatched to
@@ -484,9 +475,11 @@ class WorkerPool:
         Raises
         ------
         PointFailure
-            A point's evaluator raised on a worker.  In-flight
-            survivors are drained first, mirroring the ``--jobs``
-            pool's semantics.
+            A point's evaluator raised on a worker.  The undispatched
+            queue is dropped, queued points are revoked from every
+            worker, and in-flight survivors are drained through
+            ``on_result`` first, so their compute still lands in the
+            cache.
         WorkerError
             No live workers remain with work outstanding, or one
             point exceeded ``max_requeues`` worker deaths.
@@ -519,17 +512,17 @@ class WorkerPool:
         batch = self.batch_size or max(
             1, min(4, len(points) // (2 * max(1, len(self.live_workers()))))
         )
-        draining: Optional[str] = None  # "cancel" | "failure"
+        draining = False  # set by the first point failure
         failure: Optional[PointFailure] = None
 
         def outstanding_total() -> int:
             return sum(len(h.outstanding) for h in self.live_workers())
 
-        def begin_drain(kind: str) -> None:
+        def begin_drain() -> None:
             nonlocal draining
             if draining:
                 return
-            draining = kind
+            draining = True
             pending.clear()
             # Pull queued (not yet started) points back so the drain
             # only waits for what is genuinely computing.
@@ -547,8 +540,6 @@ class WorkerPool:
             )
             if finished or drained:
                 break
-            if cancel is not None and cancel.is_set() and not draining:
-                begin_drain("cancel")
             if not draining:
                 self._dispatch(pending, batch, collect)
                 self._steal(pending, done)
@@ -597,7 +588,7 @@ class WorkerPool:
                     failure = PointFailure(
                         point, str(envelope.get("error", "unknown error"))
                     )
-                    begin_drain("failure")
+                    begin_drain()
                 continue
             if kind == "result":
                 index = envelope.get("index")
@@ -621,7 +612,6 @@ class WorkerPool:
                 )
         if failure is not None:
             raise failure
-        return draining != "cancel"
 
     # -- run-loop helpers --------------------------------------------------
 
@@ -716,7 +706,7 @@ class WorkerPool:
         pending: deque,
         done: set,
         requeues: Dict[int, int],
-        draining: Optional[str],
+        draining: bool,
     ) -> None:
         """Retire a worker once and requeue its in-flight points."""
         if handle.retired:

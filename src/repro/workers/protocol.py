@@ -1,8 +1,7 @@
 """Wire protocol for the worker pool: length-prefixed JSON + binary.
 
-Sans-io, like :mod:`repro.master.protocol`: every primitive is either
-pure bytes-in/bytes-out or parameterised over a ``read_exactly``
-callable, so the same parser serves the pool's reader threads, the
+Sans-io: every primitive is either pure bytes-in/bytes-out or
+parameterised over a ``read_exactly`` callable, so the same parser serves the pool's reader threads, the
 worker daemon's blocking socket, and the unit tests' byte buffers.
 
 Framing
@@ -51,7 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import WorkerProtocolError
+from ..errors import WorkerError, WorkerProtocolError
 from ..kernels import active_backend
 from ..signals.waveform import Waveform, WaveformBatch
 
@@ -74,6 +73,7 @@ __all__ = [
     "identity_mismatch",
     "point_to_wire",
     "point_from_wire",
+    "parse_address",
 ]
 
 #: Bump on any incompatible wire change; both ends refuse a mismatch.
@@ -347,10 +347,29 @@ def worker_cache_identity(salt: Optional[str] = None) -> Dict[str, str]:
     return {"salt": str(salt), "backend": active_backend()}
 
 
+def parse_address(
+    address: str, *, what: str, default_host: Optional[str] = None
+) -> Tuple[str, int]:
+    """Split ``HOST:PORT`` into ``(host, port)``; both ends dial with it.
+
+    *what* names the address in the :class:`~repro.errors.WorkerError`
+    raised for a missing or non-numeric port, a port above 65535, or
+    an empty host when no *default_host* stands in for it.  Port 0 is
+    valid: a listener binds an ephemeral port.
+    """
+    host, _, port = address.rpartition(":")
+    host = host or default_host
+    if not host or not port.isdigit():
+        raise WorkerError(f"{what}: expected HOST:PORT")
+    if int(port) > 65535:
+        raise WorkerError(f"{what}: port must be 0-65535")
+    return host, int(port)
+
+
 def check_token(expected: Optional[str], presented: Optional[str]) -> bool:
     """Constant-time shared-secret comparison.
 
-    No *expected* token (the pool/master runs open) accepts anything;
+    No *expected* token (the pool runs open) accepts anything;
     with one set, the presented value must match byte-for-byte.
     """
     if not expected:

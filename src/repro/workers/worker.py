@@ -24,9 +24,11 @@ reported as a ``point_error`` frame; the worker itself keeps serving.
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import threading
+import time
 from collections import deque
 from typing import Optional, Tuple
 
@@ -34,6 +36,7 @@ from ..errors import WorkerError, WorkerProtocolError
 from .protocol import (
     PROTOCOL_VERSION,
     encode_tree,
+    parse_address,
     point_from_wire,
     read_message,
     send_message,
@@ -288,14 +291,12 @@ def serve(
     The connect is retried for *retry_s* seconds so a worker started a
     moment before its pool still finds it.
     """
-    host, _, port_text = address.rpartition(":")
-    if not host or not port_text.isdigit():
+    host, port = parse_address(address, what=f"--connect {address!r}")
+    if not (math.isfinite(retry_s) and retry_s >= 0):
         raise WorkerError(
-            f"--connect expects HOST:PORT, got {address!r}"
+            f"--retry must be a finite number of seconds >= 0, "
+            f"got {retry_s!r}"
         )
-    port = int(port_text)
-    import time
-
     deadline = time.monotonic() + retry_s
     while True:
         try:

@@ -105,10 +105,17 @@ class TestExpand:
         assert "digest=" in captured.out
 
     def test_expand_limit(self, spec_path, capsys):
-        exit_code = main(["expand", str(spec_path), "--limit", "1"])
+        for limit in (0, 1):
+            exit_code = main(["expand", str(spec_path), "--limit", str(limit)])
+            captured = capsys.readouterr()
+            assert exit_code == 0
+            assert f"showing {limit}" in captured.out
+            assert captured.out.count("digest=") == limit
+        exit_code = main(["expand", str(spec_path), "--limit", "-5"])
         captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "showing 1" in captured.out
+        assert exit_code == 2
+        assert "error: --limit must be >= 0, got -5" in captured.err
+        assert "digest=" not in captured.out
 
 
 class TestReport:

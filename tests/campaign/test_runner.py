@@ -7,7 +7,6 @@ module stays test-tier fast.
 
 import glob
 import multiprocessing
-import threading
 import time
 
 import numpy as np
@@ -23,7 +22,7 @@ from repro.campaign import (
 )
 from repro.campaign import runner
 from repro.campaign.spec import canonical_json
-from repro.errors import CampaignCancelled, CampaignError
+from repro.errors import CampaignError
 
 TINY = {
     "name": "runner-tiny",
@@ -312,86 +311,6 @@ class TestSequentialFailure:
         points = expand_points(tiny_spec())
         assert cache.get(points[0]) == {"delay_ps": 0.0}
         assert cache.get(points[1]) is None
-
-
-# -- cancellation ------------------------------------------------------------
-
-
-class TestCancellation:
-    def test_cancel_before_start(self):
-        cancel = threading.Event()
-        cancel.set()
-        with pytest.raises(CampaignCancelled) as exc_info:
-            run_campaign(tiny_spec(), jobs=1, cancel=cancel)
-        exc = exc_info.value
-        assert exc.done == 0
-        assert exc.total == 4
-        assert exc.partial is not None
-        assert exc.partial.statuses == ["missing"] * 4
-        assert not exc.partial.complete
-        assert exc.partial.missing_indices() == [0, 1, 2, 3]
-
-    def test_cancel_mid_sequential_run_then_resume_from_cache(
-        self, tmp_path
-    ):
-        cache = ResultCache(tmp_path / "cache")
-        cancel = threading.Event()
-
-        def progress(done, total):
-            if done >= 2:
-                cancel.set()
-
-        with pytest.raises(CampaignCancelled) as exc_info:
-            run_campaign(
-                tiny_spec(),
-                jobs=1,
-                cache=cache,
-                cancel=cancel,
-                progress=progress,
-            )
-        exc = exc_info.value
-        assert 2 <= exc.done < 4
-        partial = exc.partial
-        assert partial.statuses.count("computed") == exc.done
-        assert len(partial.missing_indices()) == 4 - exc.done
-        # The partial keeps metrics aligned: missing points are None.
-        for index in partial.missing_indices():
-            assert partial.metrics[index] is None
-
-        # Every completed point went to the cache, so a resubmission
-        # recomputes only the missing tail — the kill-resume loop.
-        resumed = run_campaign(tiny_spec(), jobs=1, cache=cache)
-        assert resumed.complete
-        assert resumed.cached == exc.done
-        assert resumed.computed == 4 - exc.done
-
-    def test_cancel_mid_parallel_run_drains_to_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cancel = threading.Event()
-
-        def progress(done, total):
-            if done >= 1:
-                cancel.set()
-
-        with pytest.raises(CampaignCancelled) as exc_info:
-            run_campaign(
-                tiny_spec(),
-                jobs=2,
-                cache=cache,
-                cancel=cancel,
-                progress=progress,
-            )
-        exc = exc_info.value
-        # In-flight points are drained to completion, so anywhere from
-        # 1 (the trigger) to all 4 may have landed — but the run still
-        # reports cancelled, and every drained point is in the cache.
-        assert 1 <= exc.done <= 4
-        assert exc.partial.statuses.count("computed") == exc.done
-
-        resumed = run_campaign(tiny_spec(), jobs=2, cache=cache)
-        assert resumed.complete
-        assert resumed.cached == exc.done
-        assert resumed.computed == 4 - exc.done
 
 
 # -- per-point statuses ------------------------------------------------------

@@ -142,7 +142,8 @@ class TestExpansion:
         assert [p.index for p in points] == [0, 1, 2, 3]
 
     def test_limit_truncates(self):
-        assert len(expand_points(small_spec(), limit=3)) == 3
+        for limit in (0, 1, 3):
+            assert len(expand_points(small_spec(), limit=limit)) == limit
 
     def test_axis_overrides_base(self):
         spec = small_spec(base={"bit_rate": "1 Gbps", "n_bits": 48})

@@ -237,7 +237,7 @@ class TestKernelDispatchCounters:
 
 
 class TestRegistryScope:
-    """The per-run scoping hook the campaign master daemon uses."""
+    """The per-run scoping hook benchmark loops use."""
 
     def test_counts_land_in_the_scoped_registry(self):
         private = Registry()
@@ -268,7 +268,7 @@ class TestRegistryScope:
         assert scoped.snapshot()["counters"] == {}
 
     def test_scopes_isolate_sequential_runs(self):
-        """Two runs, two registries, no cross-talk (the master's use)."""
+        """Two runs, two registries, no cross-talk (a benchmark loop)."""
         tallies = []
         for value in (2, 5):
             with instrument.registry_scope() as scoped:

@@ -195,7 +195,7 @@ class TestHandshake:
             thread = threading.Thread(target=fake_main, daemon=True)
             thread.start()
             got = {}
-            finished = pool.run(
+            pool.run(
                 points,
                 on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
             )
@@ -203,7 +203,6 @@ class TestHandshake:
         assert not thread.is_alive()
         assert box["reply"]["type"] == "welcome"
         assert "shm" not in box["reply"]
-        assert finished
         assert got[points[0].index]["trace"].tobytes() == trace.tobytes()
 
     def test_no_workers_times_out(self):
@@ -219,11 +218,10 @@ class TestSpawnedWorkers:
         direct = [evaluate_point(p) for p in points]
         got = {}
         with WorkerPool("spawn://2", deadline=60.0) as pool:
-            finished = pool.run(
+            pool.run(
                 points,
                 on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
             )
-        assert finished
         assert sorted(got) == [p.index for p in points]
         for point, expected in zip(points, direct):
             assert json.dumps(got[point.index], sort_keys=True) == json.dumps(
@@ -270,8 +268,7 @@ class TestSpawnedWorkers:
                     killed.set()
                     os.kill(pool._procs[0].pid, signal.SIGKILL)
 
-            finished = pool.run(points, on_result=on_result)
-        assert finished
+            pool.run(points, on_result=on_result)
         assert sorted(got) == [p.index for p in points]
         # The killed worker's in-flight points were re-executed with
         # identical results (identity-derived seeding).
@@ -299,12 +296,11 @@ class TestSpawnedWorkers:
         monkeypatch.setattr(WorkerPool, "_revoke", counted)
         got = {}
         with WorkerPool("spawn://2", deadline=60.0) as pool:
-            finished = pool.run(
+            pool.run(
                 points,
                 packs=[[p.index for p in points]],
                 on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
             )
-        assert finished
         assert sorted(got) == [p.index for p in points]
         assert len(calls) <= len(points) + 2, f"{len(calls)} revokes"
 
@@ -344,7 +340,7 @@ class TestRemoteWorkerCli:
                 env=env,
             )
             try:
-                finished = pool.run(
+                pool.run(
                     points,
                     on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
                 )
@@ -353,7 +349,6 @@ class TestRemoteWorkerCli:
                 proc.kill()
                 raise
         assert proc.wait(timeout=30) == 0
-        assert finished
         assert json.dumps(
             [got[p.index] for p in points], sort_keys=True
         ) == json.dumps(local.metrics, sort_keys=True)
@@ -379,14 +374,14 @@ class TestFakeWorkerScheduling:
         thread.start()
         got = {}
         try:
-            finished = pool.run(
+            pool.run(
                 points,
                 on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
                 **run_kwargs,
             )
         finally:
             thread.join(timeout=10)
-        return finished, got
+        return got
 
     def test_point_error_raises_point_failure(self):
         points = expand_points(tiny_spec(rates=["2.4 Gbps"]))
@@ -418,7 +413,7 @@ class TestFakeWorkerScheduling:
         # CampaignError shape the --jobs pool raises.
         spec = tiny_spec(rates=["2.4 Gbps"])
 
-        def fake_run(self, points, *, collect, on_result, cancel=None):
+        def fake_run(self, points, *, collect, on_result):
             raise PointFailure(points[0], "RuntimeError: boom")
 
         monkeypatch.setattr(WorkerPool, "run", fake_run)
@@ -457,12 +452,11 @@ class TestFakeWorkerScheduling:
                     pytest.fail("fake worker never joined")
                 time.sleep(0.02)
             got = {}
-            finished = pool.run(
+            pool.run(
                 points,
                 on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
             )
             hold.set()
-        assert finished
         assert sorted(got) == [p.index for p in points]
 
     def test_all_workers_dead_raises(self):

@@ -23,6 +23,7 @@ from repro.workers.protocol import (
     recv_message,
     send_message,
 )
+from repro.workers.__main__ import main as workers_main
 from repro.workers.worker import WorkerSession
 
 TINY = {
@@ -196,3 +197,26 @@ class TestHandshakeRejection:
         thread.join(timeout=10)
         pool_side.close()
         assert "authentication failed" in str(failure["exc"])
+
+
+class TestServeArguments:
+    """``serve`` rejects bad arguments before it dials anything."""
+
+    @pytest.mark.parametrize(
+        "address, message",
+        [
+            ("127.0.0.1:99999", "port must be 0-65535"),
+            ("127.0.0.1:65536", "port must be 0-65535"),
+            (":8761", "expected HOST:PORT"),
+            ("host", "expected HOST:PORT"),
+        ],
+    )
+    def test_bad_connect_address(self, address, message, capsys):
+        assert workers_main(["serve", "--connect", address]) == 1
+        assert f"--connect {address!r}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("retry", ["nan", "inf", "-1"])
+    def test_bad_retry(self, retry, capsys):
+        argv = ["serve", "--connect", "127.0.0.1:1", "--retry", retry]
+        assert workers_main(argv) == 1
+        assert "--retry must be a finite number" in capsys.readouterr().err
