@@ -3,10 +3,9 @@
 The fused ``fine_delay_cascade`` kernel runs the whole N-stage buffer
 chain in one call, eliminating the per-stage Waveform round-trips,
 filter-state solves, duplicate percentile passes and kernel dispatch of
-the per-stage chain (each stage's own ``process``) — and, on the numpy
-backend, choosing per stage between the event-walk and
-Jacobi-relaxation slew limiters by a cost model instead of always
-walking.
+the per-stage chain (each stage's own ``process``).  Both paths slew
+by the same kernel (on numpy, frontier relaxation), so the gain is
+the overhead removed, not a different slew strategy.
 
 Acceptance bar: **>= 2x** for the fused 4-stage cascade vs the
 per-stage chain on the numpy backend, on an edge-dense record (a PRBS9

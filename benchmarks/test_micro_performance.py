@@ -46,7 +46,9 @@ def backend(request):
 def test_perf_slew_limit(benchmark, backend):
     target = np.sin(np.linspace(0, 300.0, 50_000)) * 0.4
     benchmark.extra_info["kernel_backend"] = backend
-    # The backend's slew loop: the slew step of every cascade stage.
+    # The backend's standalone slew loop: the reference recurrence on
+    # python; on numpy the event walk, which cascade stages run only
+    # for lanes whose ramps outlast the relaxation's sweep cap.
     slew_limit = kernels.get_backend().slew_limit
     result = benchmark(slew_limit, target, 0.05, float(target[0]))
     assert len(result) == len(target)

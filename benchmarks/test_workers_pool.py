@@ -19,7 +19,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.campaign.spec import CampaignSpec, expand_points
 from repro.signals.waveform import WaveformBatch

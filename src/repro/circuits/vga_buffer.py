@@ -311,10 +311,8 @@ def limiting_stage_batch(
     ``(n_lanes,)`` array (per-lane programming — a control-voltage
     sweep as one batch), or a ``(n_lanes, n_samples)`` array
     (per-lane time-varying control).  Lane ``i`` draws its noise from
-    ``rngs[i]`` only, so on the python kernel backend each lane is
-    bit-exact against its own one-lane call with the same generator
-    (numpy agrees to rounding: its one-lane and many-lane slew
-    strategies differ).
+    ``rngs[i]`` only, so on either kernel backend each lane is
+    bit-exact against its own one-lane call with the same generator.
     """
     dt = batch.dt
     amplitude = np.asarray(amplitude, dtype=np.float64)

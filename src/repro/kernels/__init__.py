@@ -11,10 +11,11 @@ backends:
     The original interpreted loops, kept as the bit-exact semantic
     reference (~50 ns/sample for the slew limiters).
 ``numpy``
-    Event-vectorised versions: exact regime decomposition for the slew
-    limiters, full vectorisation for the measurement kernels.  Agrees
-    with the reference to floating-point rounding (delay impact far
-    below 0.01 ps).
+    Array versions: frontier relaxation for the slew limiters (every
+    lane of a call at once, lane results independent of the call),
+    full vectorisation for the measurement kernels.  Agrees with the
+    reference to floating-point rounding (delay impact far below
+    0.01 ps).
 
 Select with the ``REPRO_KERNELS`` environment variable or
 :func:`set_backend` / :func:`use_backend`; the default (``auto``) is

@@ -2,38 +2,34 @@
 
 Same algebra as the reference loops in
 :mod:`repro.kernels.python_backend`, evaluated with array operations.
-Because the evaluation order differs (e.g. ramp levels are computed as
-``y0 + k * step`` instead of ``k`` repeated additions), results agree
-with the reference to floating-point rounding, not bit-exactly; the
-property tests bound the disagreement far below a femtosecond of
+Where the evaluation order differs (e.g. per-flip compression scales
+use ``np.power`` and half-cycle ages ``(n - last_flip) * dt``), results
+agree with the reference to floating-point rounding, not bit-exactly;
+the property tests bound the disagreement far below a femtosecond of
 delay-measurement impact.
-
-The slew limiter has a per-sample recurrence, so it cannot be
-vectorised sample-by-sample.  It *can* be vectorised event-by-event
-(:func:`slew_limit`, the walk): a slew limiter is always in one of two
-regimes — **tracking** (output equals the target, until a step larger
-than ``max_step`` occurs) or **ramping** (output moves at exactly
-``±max_step`` per sample until it catches the target).  Both regimes
-cover long runs of samples that can be emitted with one array
-operation each, so the Python-level loop runs once per edge instead of
-once per sample.
-
-Several lanes use a different strategy — frontier relaxation (see
-:func:`_slew_limit_relax`) — because the per-event Python overhead of
-the walk is paid per lane, whereas a relaxation sweep is a few array
-operations shared by every lane.  One dense sweep over the whole batch
-is followed by sweeps over only the samples whose predecessor changed,
-so the cost tracks the ramping samples.  The result is the sequential
-recurrence bit for bit on every lane that settles within the sweep
-cap.
 
 The fused cascade is one kernel, :func:`fine_delay_cascade`, over a
 ``(lanes, samples)`` record with per-lane carried state; every
 limiting-buffer stage runs on it, standalone buffers as one-stage
-cascades.  Its slew strategy keys on the lane count: one lane takes
-the walk or the relaxation, whichever the cost model in
-:func:`_cascade_slew` prefers; several lanes always relax together.
-:func:`_compressive_target` builds the compressed slew target.
+cascades.  :func:`_compressive_target` builds each stage's compressed
+slew target, and :func:`_slew_limit_relax` slews every lane of it by
+frontier relaxation, whatever the lane count: one dense Jacobi sweep
+over the whole record, then sweeps over only the samples whose
+predecessor changed, so the cost tracks the ramping samples and the
+sweeps are array operations shared by every lane.  The result is the
+sequential recurrence bit for bit on every lane that settles within
+the sweep cap, and lanes never interact, so a lane's output does not
+depend on the call it rides in.
+
+A lane whose ramp outlasts the sweep cap falls back to the event walk
+:func:`slew_limit`.  A slew limiter is always in one of two regimes —
+**tracking** (output equals the target, until a step larger than
+``max_step`` occurs) or **ramping** (output moves at exactly
+``±max_step`` per sample until it catches the target) — and the walk
+emits each run of one regime with one array operation, so its
+Python-level loop runs once per edge instead of once per sample.  Its
+ramps are ``y0 + k * step`` rather than ``k`` repeated additions, so it
+agrees with the recurrence to rounding.
 """
 
 from __future__ import annotations
@@ -305,7 +301,7 @@ def _compressive_target(
     corner: float,
     order: int,
     carry: CascadeStageState,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+) -> "tuple[np.ndarray, np.ndarray]":
     """Per-sample compressed slew target of every lane of a batch.
 
     The comparator flips are pure functions of *v_in* and each lane's
@@ -324,10 +320,8 @@ def _compressive_target(
     comparator state, half-cycle age and scale are written back to
     *carry*.
 
-    Returns ``(target, y_start, n_flips)``: the slew target, each lane's
-    initial tracker level (the carried ``slew_y`` when primed) and each
-    lane's flip count, which feeds the cascade's walk-vs-relax cost
-    model.
+    Returns ``(target, y_start)``: the slew target and each lane's
+    initial tracker level (the carried ``slew_y`` when primed).
     """
     n_lanes, n = v_in.shape
     inv_2corner = 1.0 / (2.0 * corner)
@@ -405,42 +399,7 @@ def _compressive_target(
     carry.comp_state = comp_state * (-1) ** counts
     carry.elapsed = ages[ends]
     carry.scale = seg_values[ends]
-    return target, y_start, counts
-
-
-# Calibrated per-stage cost model for the fused cascade's slew step.
-# Both strategies are exact (the relaxation's stale-lane fallback is the
-# walk itself), so the choice only affects speed: the event walk costs
-# one Python-level iteration per comparator flip, each touching O(n)
-# precomputed keys; a relaxation sweep is three array passes shared by
-# the whole record but must run once per sample of the longest ramp.
-# Constants were measured on the development host; they only need to
-# rank the two strategies, not predict absolute times.  They describe
-# the dense sweep loop that frontier relaxation replaced, so they
-# overstate relaxation; refitting them changes which strategy a stage
-# runs, which moves result bits within the 0.01 ps contract.
-_WALK_COST_PER_EVENT = 4e-6
-_WALK_COST_PER_EVENT_SAMPLE = 0.45e-9
-_RELAX_COST_PER_SWEEP_SAMPLE = 2.1e-9
-_RELAX_COST_FIXED = 2e-5
-
-
-def _cascade_slew(
-    target: np.ndarray, max_step: float, y0: float, n_events: int
-) -> np.ndarray:
-    """Slew-limit one lane, choosing the cheaper exact strategy."""
-    n = target.size
-    span = float(target.max()) - float(target.min())
-    sweeps = min(n, _RELAX_MAX_SWEEPS, int(span / max_step) + 2)
-    relax_cost = sweeps * n * _RELAX_COST_PER_SWEEP_SAMPLE + _RELAX_COST_FIXED
-    walk_cost = (n_events + 1) * (
-        _WALK_COST_PER_EVENT + _WALK_COST_PER_EVENT_SAMPLE * n
-    )
-    if relax_cost < walk_cost:
-        return _slew_limit_relax(
-            target[None, :], max_step, np.array([y0])
-        )[0]
-    return slew_limit(target, max_step, y0)
+    return target, y_start
 
 
 def fine_delay_cascade(
@@ -458,16 +417,14 @@ def fine_delay_cascade(
     filter starts from the plan's precomputed settled state, or the
     carried filter state.
 
-    The slew strategy keys on the lane count.  One lane is slewed by
-    whichever exact strategy the cost model prefers
-    (:func:`_cascade_slew`); several lanes always share one frontier
-    relaxation (:func:`_slew_limit_relax`), whose sweeps cost the same
-    array passes however many lanes ride in them.  A call agrees with
-    the per-stage path to floating-point rounding, and chunked runs
-    agree with one whole-record call likewise (within the 0.01 ps delay
-    contract).
+    Every stage slews all its lanes with one frontier relaxation
+    (:func:`_slew_limit_relax`), however many lanes the call has, and
+    lanes never interact, so a lane's output is byte-identical whether
+    it runs alone or inside a multi-lane call.  Chunked runs agree with
+    one whole-record call to floating-point rounding (within the
+    0.01 ps delay contract): the carried half-cycle age is
+    ``(n - last_flip) * dt``, not a running sum.
     """
-    single = values.shape[0] == 1
     x = values.copy()
     scratch = np.empty_like(x)
     for stage, carry in zip(stages, states):
@@ -480,7 +437,7 @@ def fine_delay_cascade(
         if np.isfinite(stage.corner):
             floor = np.minimum(amplitude, stage.amplitude_min)
             carry.freeze_from(v_in, dt)
-            target, y_start, n_flips = _compressive_target(
+            target, y_start = _compressive_target(
                 v_in,
                 floor * limited,
                 (amplitude - floor) * limited,
@@ -492,22 +449,7 @@ def fine_delay_cascade(
         else:
             target = amplitude * limited
             y_start = carry.slew_y if carry.primed else target[:, 0]
-            n_flips = None
-        if single:
-            lane = target[0]
-            if n_flips is None:
-                sign = np.signbit(lane)
-                n_events = int(np.count_nonzero(sign[1:] != sign[:-1]))
-            else:
-                n_events = int(n_flips[0])
-            step = stage.max_step
-            if isinstance(step, np.ndarray):
-                step = float(step.reshape(-1)[0])
-            slewed = _cascade_slew(
-                lane, step, float(y_start[0]), n_events
-            )[None, :]
-        else:
-            slewed = _slew_limit_relax(target, stage.max_step, y_start)
+        slewed = _slew_limit_relax(target, stage.max_step, y_start)
         # Free the target before the next stage builds its own: a
         # batch's targets are full (lanes, samples) records.
         del target

@@ -112,7 +112,8 @@ def _run_on(backend, func, *args, **kwargs):
 
 
 def _slew_limit(values, max_step, initial=None):
-    """The active backend's slew loop, the cascade's slew step."""
+    """The active backend's slew loop (on numpy the event walk, which
+    the cascade's relaxation falls back to past its sweep cap)."""
     start = float(values[0]) if initial is None else float(initial)
     return kernels.get_backend().slew_limit(values, max_step, start)
 
@@ -130,7 +131,7 @@ def _compressive_slew_limit(
 ):
     """One fresh record through the active backend's compressive stage
     internals: the python reference loop, or numpy's comparator target
-    builder followed by the event walk."""
+    builder followed by the frontier relaxation."""
     if kernels.active_backend() == "python":
         return python_backend.compressive_slew_limit_carry(
             v_in, target_floor, target_extra, max_step, dt, hysteresis,
@@ -138,7 +139,7 @@ def _compressive_slew_limit(
         )[0]
     carry = CascadeStageState()
     carry.freeze_stats([hysteresis], [initial_interval])
-    target, y_start, _ = numpy_backend._compressive_target(
+    target, y_start = numpy_backend._compressive_target(
         v_in[None, :],
         target_floor[None, :],
         target_extra[None, :],
@@ -147,7 +148,7 @@ def _compressive_slew_limit(
         order,
         carry,
     )
-    return numpy_backend.slew_limit(target[0], max_step, float(y_start[0]))
+    return numpy_backend._slew_limit_relax(target, max_step, y_start)[0]
 
 
 class TestSlewLimitAgreement:

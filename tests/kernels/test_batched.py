@@ -315,7 +315,7 @@ class TestRaggedKernelBatches:
 class TestBatchedStageEquivalence:
     """Batched circuit stages vs per-lane sequential, per-lane streams."""
 
-    @pytest.mark.parametrize("backend", ("python",))
+    @pytest.mark.parametrize("backend", kernels.BACKEND_NAMES)
     def test_limiting_stage_batch_bit_exact(self, backend):
         stimulus = calibration_stimulus(n_bits=31, dt=1e-12)
         buffer = VariableGainBuffer(vctrl=0.8, seed=5)

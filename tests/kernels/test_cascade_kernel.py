@@ -7,10 +7,11 @@ suite pins what that sharing must preserve:
 
 * every entry refuses an empty record with :class:`CircuitError`;
 * lanes never interact: each lane of an L-lane chunked run equals the
-  one-lane chunked run of that lane (bit for bit on python, within
-  0.01 ps of measured delay on numpy);
-* numpy's two lane-count rules: one lane picks the event walk or the
-  relaxation from the cost model, several lanes always relax; and the
+  one-lane chunked run of that lane byte for byte on both backends; a
+  chunked run equals the whole-record call bit for bit on python and
+  within 0.01 ps of measured delay on numpy;
+* numpy slews every call by frontier relaxation, one lane or many, and
+  walks only the lanes whose ramps outlast the sweep cap; and the
   compression seed of every lane is the reference's Python-float one.
 """
 
@@ -173,20 +174,22 @@ def test_lanes_are_independent_under_carried_state(
     for lane in range(n_lanes):
         lane_stages = _lane_plan(stages, lane)
         alone = _chunked(records[lane : lane + 1], lane_stages, cuts)[0]
+        assert together[lane].tobytes() == alone.tobytes()
+        whole = kernels.fine_delay_cascade(records[lane], lane_stages, DT)
         if backend == "python":
-            assert together[lane].tobytes() == alone.tobytes()
-            whole = kernels.fine_delay_cascade(records[lane], lane_stages, DT)
             assert together[lane].tobytes() == whole.tobytes()
         else:
+            # Chunk ages are ``(n - last_flip) * dt``, not repeated
+            # ``+= dt``, so chunked and whole records agree to rounding.
             stimulus = Waveform(records[lane], DT, 0.0)
-            d_together = measure_delay(
+            d_chunked = measure_delay(
                 stimulus, Waveform(together[lane], DT, 0.0)
             ).delay
-            d_alone = measure_delay(stimulus, Waveform(alone, DT, 0.0)).delay
-            assert abs(d_together - d_alone) < DELAY_TOLERANCE
+            d_whole = measure_delay(stimulus, Waveform(whole, DT, 0.0)).delay
+            assert abs(d_chunked - d_whole) < DELAY_TOLERANCE
 
 
-# -- numpy: the slew strategy keys on lane count --------------------------------
+# -- numpy: every call relaxes ------------------------------------------------
 
 
 def _spy_slew(monkeypatch):
@@ -219,19 +222,32 @@ def _slow_square(n=100_000, period=50_000):
     return np.where((np.arange(n) // (period // 2)) % 2 == 0, -0.4, 0.4)
 
 
-def test_one_lane_walks_multi_lane_relaxes(monkeypatch):
+def test_one_lane_relaxes_like_many_lanes(monkeypatch):
     kernels.set_backend("numpy")
     values = _slow_square()
     stages = _noiseless_plan(values, 3)
     calls = _spy_slew(monkeypatch)
     kernels.fine_delay_cascade(values, stages, DT)
-    walks = len(stages)
-    assert calls == {"walk": walks, "relax": 0, "walk_outside_relax": walks}
+    relaxed = {"walk": 0, "relax": len(stages), "walk_outside_relax": 0}
+    assert calls == relaxed
 
     calls.update(walk=0, relax=0, walk_outside_relax=0)
     lanes = np.stack([values, -values])
     kernels.fine_delay_cascade_batch(lanes, stages, DT)
-    assert calls == {"walk": 0, "relax": len(stages), "walk_outside_relax": 0}
+    assert calls == relaxed
+
+
+def test_one_lane_past_the_sweep_cap_walks_inside_the_relaxation(
+    monkeypatch,
+):
+    kernels.set_backend("numpy")
+    values = _slow_square()
+    stages = _noiseless_plan(values, 1)
+    slow = 0.1 / numpy_backend._RELAX_MAX_SWEEPS
+    stages = [dataclasses.replace(stages[0], max_step=slow)]
+    calls = _spy_slew(monkeypatch)
+    kernels.fine_delay_cascade(values, stages, DT)
+    assert calls == {"walk": 1, "relax": 1, "walk_outside_relax": 0}
 
 
 def test_multi_lane_walks_only_lanes_past_the_sweep_cap(monkeypatch):
@@ -268,7 +284,7 @@ def test_multi_lane_seed_is_the_one_lane_seed():
     def target(lanes):
         carry = CascadeStageState()
         carry.freeze_stats(hysteresis[lanes], intervals[lanes])
-        out, y0, _ = numpy_backend._compressive_target(
+        out, y0 = numpy_backend._compressive_target(
             v_in[lanes], floor[lanes], extra[lanes], DT, corner, order, carry
         )
         return out, y0
