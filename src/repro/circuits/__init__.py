@@ -18,7 +18,6 @@ from .vga_buffer import (
     BufferParams,
     VariableGainBuffer,
     band_limited_noise,
-    band_limited_noise_batch,
     limiting_stage_batch,
 )
 from .buffers import OUTPUT_STAGE_PARAMS, OutputBuffer, FanoutBuffer
@@ -38,7 +37,6 @@ __all__ = [
     "BufferParams",
     "VariableGainBuffer",
     "band_limited_noise",
-    "band_limited_noise_batch",
     "limiting_stage_batch",
     "OUTPUT_STAGE_PARAMS",
     "OutputBuffer",

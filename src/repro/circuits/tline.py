@@ -25,11 +25,7 @@ import numpy as np
 from scipy import signal as _scipy_signal
 
 from ..errors import CircuitError
-from ..signals.filters import (
-    bandwidth_to_time_constant,
-    bilinear_lowpass_coefficients,
-    single_pole_lowpass,
-)
+from ..signals.filters import bandwidth_to_time_constant, cascade_filter_plan
 from ..signals.waveform import Waveform, WaveformBatch
 from .element import CircuitElement
 
@@ -99,16 +95,7 @@ class TransmissionLine(CircuitElement):
     def process(
         self, waveform: Waveform, rng: Optional[np.random.Generator] = None
     ) -> Waveform:
-        out = waveform
-        if self.dispersive and self.total_delay > 0:
-            bandwidth = self.bandwidth()
-            if np.isfinite(bandwidth) and bandwidth < 0.5 / waveform.dt:
-                out = single_pole_lowpass(out, bandwidth)
-        if self.gain != 1.0:
-            out = out * self.gain
-        if self.total_delay != 0.0:
-            out = out.shifted(self.total_delay)
-        return out
+        return self._one_lane(waveform, rng)
 
     def process_batch(
         self,
@@ -125,18 +112,18 @@ class TransmissionLine(CircuitElement):
         if self.dispersive and self.total_delay > 0:
             bandwidth = self.bandwidth()
             if np.isfinite(bandwidth) and bandwidth < 0.5 / batch.dt:
-                tau = bandwidth_to_time_constant(bandwidth)
-                b, a = bilinear_lowpass_coefficients(batch.dt, tau)
-                zi = _scipy_signal.lfilter_zi(b, a)[None, :] * values[:, :1]
+                b, a, zi_unit = cascade_filter_plan(
+                    batch.dt, bandwidth_to_time_constant(bandwidth)
+                )
                 values, _ = _scipy_signal.lfilter(
-                    b, a, values, axis=1, zi=zi
+                    b, a, values, axis=1, zi=zi_unit[None, :] * values[:, :1]
                 )
         if self.gain != 1.0:
             values = values * self.gain
-        out = WaveformBatch(values, batch.dt, batch.t0)
+        t0 = batch.t0
         if self.total_delay != 0.0:
-            out = out.shifted(self.total_delay)
-        return out
+            t0 = t0 + self.total_delay
+        return WaveformBatch(values, batch.dt, t0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

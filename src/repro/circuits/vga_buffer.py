@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy import signal as _scipy_signal
@@ -52,8 +52,10 @@ from .element import CircuitElement
 __all__ = [
     "BufferParams",
     "VariableGainBuffer",
+    "BandLimitedNoise",
+    "StagePlanner",
     "band_limited_noise",
-    "band_limited_noise_batch",
+    "stage_control",
     "limiting_stage_batch",
 ]
 
@@ -223,6 +225,61 @@ class BufferParams:
         return self.propagation_delay + amplitude / self.slew_rate
 
 
+class BandLimitedNoise:
+    """Gaussian noise low-passed to *bandwidth* with RMS *sigma*, drawn
+    call after call from *rng*.
+
+    The first draw warms the low-pass filter up on a discarded noise
+    prefix, so the record is a stationary snapshot: without the warmup,
+    the filter's zero-state startup transient depresses the RMS
+    estimate and the rescaling systematically *inflates* the noise
+    power of short records (and with it every per-stage jitter
+    figure).  It then freezes :attr:`gain`, which rescales the filtered
+    sequence to RMS *sigma* so the effective noise power does not
+    depend on the simulation sample interval.  Later draws continue the
+    same white sequence through the carried filter state at that gain;
+    the generator consumes its bit stream sequentially, so the
+    concatenated draws are sample for sample one draw of the whole
+    record.  A gain set before the first draw (a stream's priming pass)
+    is used as is.  A zero *sigma* draws zeros and consumes nothing.
+    """
+
+    def __init__(
+        self,
+        sigma: float,
+        bandwidth: float,
+        dt: float,
+        rng: np.random.Generator,
+    ):
+        self.sigma = float(sigma)
+        self.rng = rng
+        self.gain: Optional[float] = None
+        # At or above Nyquist the noise stays white.
+        self._b = None
+        self._warmup = 0
+        if bandwidth < 0.5 / dt:
+            tau = bandwidth_to_time_constant(bandwidth)
+            self._warmup = int(min(8192, math.ceil(10.0 * tau / dt)))
+            self._b, self._a = bilinear_lowpass_coefficients(dt, tau)
+            self._zi = np.zeros(len(self._a) - 1)
+
+    def draw(self, n_samples: int) -> np.ndarray:
+        """The next *n_samples* of the noise record."""
+        if self.sigma == 0.0 or n_samples == 0:
+            return np.zeros(n_samples)
+        filtered = self.rng.normal(0.0, 1.0, size=n_samples + self._warmup)
+        if self._b is not None:
+            filtered, self._zi = _scipy_signal.lfilter(
+                self._b, self._a, filtered, zi=self._zi
+            )
+            filtered = filtered[self._warmup:]
+            self._warmup = 0
+        if self.gain is None:
+            rms = float(np.sqrt(np.mean(filtered**2)))
+            self.gain = 0.0 if rms == 0.0 else self.sigma / rms
+        return filtered * self.gain
+
+
 def band_limited_noise(
     n_samples: int,
     sigma: float,
@@ -230,121 +287,190 @@ def band_limited_noise(
     dt: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Gaussian noise low-passed to *bandwidth* with exact RMS *sigma*.
+    """A *n_samples* noise record: the first draw of a
+    :class:`BandLimitedNoise` source, RMS exactly *sigma*."""
+    return BandLimitedNoise(sigma, bandwidth, dt, rng).draw(n_samples)
 
-    The filtered sequence is rescaled to the requested sigma so the
-    effective noise power does not depend on the simulation sample
-    interval.  The low-pass filter is warmed up on a discarded noise
-    prefix so the record is a stationary snapshot: without the warmup,
-    the filter's zero-state startup transient depresses the RMS
-    estimate and the rescaling systematically *inflates* the noise
-    power of short records (and with it every per-stage jitter figure).
+
+# Stage physics the lanes of one plan may NOT vary: these feed kernel
+# state common to all lanes (the filter discretisation, the compression
+# law, the linear-range scaling), so differing values would need
+# per-lane kernels.  The instance-variation model only perturbs the
+# complement (slew rate, amplitude floor/ceiling, propagation delay,
+# noise sigma).
+_SHARED_STAGE_FIELDS = (
+    "v_linear",
+    "bandwidth",
+    "noise_bandwidth",
+    "compression_corner",
+    "compression_order",
+)
+
+
+def _lane_column(values) -> Union[float, np.ndarray]:
+    """A plain float when every lane agrees, else an ``(n_lanes, 1)`` column.
+
+    Uniform lanes stay on the kernel's scalar-parameter path this way.
     """
-    if sigma == 0.0 or n_samples == 0:
-        return np.zeros(n_samples)
-    nyquist = 0.5 / dt
-    if bandwidth < nyquist:
-        tau = bandwidth_to_time_constant(bandwidth)
-        n_warmup = int(min(8192, math.ceil(10.0 * tau / dt)))
-        white = rng.normal(0.0, 1.0, size=n_samples + n_warmup)
-        b, a = bilinear_lowpass_coefficients(dt, tau)
-        white = _scipy_signal.lfilter(b, a, white)[n_warmup:]
-    else:
-        white = rng.normal(0.0, 1.0, size=n_samples)
-    rms = float(np.sqrt(np.mean(white**2)))
-    if rms == 0.0:
-        return np.zeros(n_samples)
-    return white * (sigma / rms)
+    values = np.asarray(values, dtype=np.float64)
+    first = float(values.flat[0])
+    if np.all(values == first):
+        return first
+    return values.reshape(-1, 1)
 
 
-def band_limited_noise_batch(
-    n_lanes: int,
-    n_samples: int,
-    sigma: Union[float, np.ndarray],
-    bandwidth: float,
-    dt: float,
-    rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """Per-lane band-limited noise, one generator per lane.
+def stage_control(
+    element: CircuitElement, vctrl: Optional[ControlInput] = None
+) -> Union[float, Waveform]:
+    """The control a :class:`StagePlanner` lane takes for *element*.
 
-    Lane ``i`` is :func:`band_limited_noise` fed ``rngs[i]``: each lane
-    draws only from its own stream and is its own stationary snapshot,
-    so a batched render and a lane-by-lane render produce identical
-    noise.
-
-    *sigma* may be a shared float or one RMS per lane (campaign packs
-    stack device instances with different noise draws).  A lane whose
-    sigma is zero consumes nothing from its generator.
+    A fixed-amplitude buffer gives its amplitude; a
+    :class:`VariableGainBuffer` gives the amplitude its scalar control
+    programs, or its control waveform.  *vctrl* overrides the
+    variable-gain stage's own control.
     """
-    sigmas = np.asarray(sigma, dtype=np.float64)
-    if sigmas.ndim > 0:
-        lane_sigmas = sigmas.reshape(-1)
-        if lane_sigmas.shape != (n_lanes,):
-            raise CircuitError(
-                f"sigma must be a scalar or have one entry per lane "
-                f"({n_lanes}), got shape {sigmas.shape}"
-            )
-    else:
-        lane_sigmas = np.full(n_lanes, float(sigmas))
-    out = np.empty((n_lanes, n_samples))
-    for lane in range(n_lanes):
-        out[lane] = band_limited_noise(
-            n_samples, float(lane_sigmas[lane]), bandwidth, dt, rngs[lane]
+    if not isinstance(element, VariableGainBuffer):
+        return element.amplitude
+    if vctrl is None:
+        vctrl = element.vctrl
+    if isinstance(vctrl, Waveform):
+        return vctrl
+    return element.params.amplitude_from_vctrl(float(vctrl))
+
+
+class StagePlanner:
+    """One limiting-buffer stage of a cascade plan, planned call after call.
+
+    Lane ``i`` runs a stage with physics ``params[i]`` programmed by
+    ``controls[i]``: an amplitude in volts, or a control-voltage
+    :class:`~repro.signals.waveform.Waveform` (jitter injection, paper
+    Sec. 5) mapped through that lane's control law.  Each :meth:`plan`
+    returns the :class:`~repro.kernels.cascade.CascadeStage` for the
+    next *n* samples of every lane's record: waveform controls are
+    evaluated at the record's global sample instants
+    ``t0[i] + dt * (offset + k)``, each lane's :class:`BandLimitedNoise`
+    (drawing from ``rngs[i]``) continues where the previous call left
+    it, and the offset advances.  A whole record or a pack is one call
+    on a fresh planner; a stream plans every chunk on the planner it
+    built for its first, so the chunk plans tile the whole-record plan.
+    """
+
+    def __init__(
+        self,
+        params: Sequence[BufferParams],
+        controls: Sequence[Union[float, Waveform]],
+        rngs: Sequence[np.random.Generator],
+        dt: float,
+        t0: Union[float, np.ndarray],
+    ):
+        self.params = list(params)
+        shared = self.params[0]
+        for lane_params in self.params[1:]:
+            for field in _SHARED_STAGE_FIELDS:
+                if getattr(lane_params, field) != getattr(shared, field):
+                    raise CircuitError(
+                        f"lanes disagree on shared stage field {field!r}"
+                    )
+        self.controls = list(controls)
+        self.dt = dt
+        self.t0 = np.broadcast_to(
+            np.asarray(t0, dtype=np.float64), (len(self.params),)
         )
-    return out
+        self.offset = 0
+        self._b, self._a, self._zi_unit = cascade_filter_plan(
+            dt, bandwidth_to_time_constant(shared.bandwidth)
+        )
+        self._amplitude_min = _lane_column(
+            [p.amplitude_min for p in self.params]
+        )
+        self._max_step = _lane_column(
+            [p.slew_rate * dt for p in self.params]
+        )
+        self.noise: Optional[List[BandLimitedNoise]] = None
+        if any(p.noise_sigma > 0 for p in self.params):
+            self.noise = [
+                BandLimitedNoise(
+                    p.noise_sigma, shared.noise_bandwidth, dt, rng
+                )
+                for p, rng in zip(self.params, rngs)
+            ]
+        self._static_amplitude = None
+        if not any(isinstance(c, Waveform) for c in self.controls):
+            self._static_amplitude = np.asarray(
+                _lane_column(self.controls), dtype=np.float64
+            )
+
+    def plan(self, n_samples: int) -> CascadeStage:
+        """The stage for the next *n_samples* of every lane."""
+        amplitude = self._static_amplitude
+        if amplitude is None:
+            rows = []
+            for lane, control in enumerate(self.controls):
+                if isinstance(control, Waveform):
+                    times = self.t0[lane] + self.dt * np.arange(
+                        self.offset, self.offset + n_samples
+                    )
+                    control = self.params[lane].amplitude_from_vctrl(
+                        control.value_at(times)
+                    )
+                rows.append(np.broadcast_to(control, (n_samples,)))
+            amplitude = np.stack(rows).astype(np.float64)
+        noise = None
+        if self.noise is not None:
+            noise = np.empty((len(self.noise), n_samples))
+            for lane, source in enumerate(self.noise):
+                noise[lane] = source.draw(n_samples)
+        self.offset += n_samples
+        shared = self.params[0]
+        return CascadeStage(
+            amplitude=amplitude,
+            amplitude_min=self._amplitude_min,
+            v_linear=shared.v_linear,
+            max_step=self._max_step,
+            corner=shared.compression_corner,
+            order=shared.compression_order,
+            b=self._b,
+            a=self._a,
+            zi_unit=self._zi_unit,
+            noise=noise,
+        )
 
 
 def limiting_stage_batch(
     batch: WaveformBatch,
-    amplitude: Union[float, np.ndarray],
+    control: Union[float, np.ndarray, Waveform],
     params: BufferParams,
     rngs: Sequence[np.random.Generator],
 ) -> WaveformBatch:
     """The limiting-buffer signal path, every lane in one kernel call.
 
-    A standalone stage is a one-stage cascade: the stage is planned as
-    one :class:`~repro.kernels.cascade.CascadeStage` and run through
-    :func:`repro.kernels.fine_delay_cascade_batch`, the kernel the
-    fine delay line's N-stage cascade runs on.
+    A standalone stage is a one-stage cascade: one :class:`StagePlanner`
+    plan on fresh noise, run through
+    :func:`repro.kernels.fine_delay_cascade_batch`, the kernel the fine
+    delay line's N-stage cascade runs on.
 
-    *amplitude* may be a scalar (all lanes programmed alike), a
-    ``(n_lanes,)`` array (per-lane programming — a control-voltage
-    sweep as one batch), or a ``(n_lanes, n_samples)`` array
-    (per-lane time-varying control).  Lane ``i`` draws its noise from
-    ``rngs[i]`` only, so on either kernel backend each lane is
-    bit-exact against its own one-lane call with the same generator.
+    *control* is the programmed amplitude — a scalar (all lanes alike)
+    or a ``(n_lanes,)`` array (per-lane programming: a control-voltage
+    sweep as one batch) — or a control-voltage
+    :class:`~repro.signals.waveform.Waveform`, mapped through
+    ``params.amplitude_from_vctrl`` on each lane's own time grid.  Lane
+    ``i`` draws its noise from ``rngs[i]`` only, so on either kernel
+    backend each lane is bit-exact against its own one-lane call with
+    the same generator.
     """
-    dt = batch.dt
-    amplitude = np.asarray(amplitude, dtype=np.float64)
-    if amplitude.ndim == 1:
-        amplitude = amplitude[:, None]
-    noise = None
-    if params.noise_sigma > 0:
-        noise = band_limited_noise_batch(
-            batch.n_lanes,
-            batch.n_samples,
-            params.noise_sigma,
-            params.noise_bandwidth,
-            dt,
-            rngs,
+    if isinstance(control, Waveform):
+        controls = [control] * batch.n_lanes
+    else:
+        controls = np.broadcast_to(
+            np.asarray(control, dtype=np.float64), (batch.n_lanes,)
         )
-    b, a, zi_unit = cascade_filter_plan(
-        dt, bandwidth_to_time_constant(params.bandwidth)
+    planner = StagePlanner(
+        [params] * batch.n_lanes, controls, rngs, batch.dt, batch.t0
     )
-    stage = CascadeStage(
-        amplitude=amplitude,
-        amplitude_min=params.amplitude_min,
-        v_linear=params.v_linear,
-        max_step=params.slew_rate * dt,
-        corner=params.compression_corner,
-        order=params.compression_order,
-        b=b,
-        a=a,
-        zi_unit=zi_unit,
-        noise=noise,
+    samples = kernels.fine_delay_cascade_batch(
+        batch.values, [planner.plan(batch.n_samples)], batch.dt
     )
-    samples = kernels.fine_delay_cascade_batch(batch.values, [stage], dt)
-    out = WaveformBatch(samples, dt, batch.t0)
+    out = WaveformBatch(samples, batch.dt, batch.t0)
     return out.shifted(params.propagation_delay)
 
 
@@ -415,21 +541,9 @@ class VariableGainBuffer(CircuitElement):
         sweep becomes one batch.  ``None`` uses :attr:`vctrl`.
         """
         rngs = self._resolve_lane_rngs(rngs, batch.n_lanes)
-        if vctrl is None:
-            vctrl = self._vctrl
-        if isinstance(vctrl, Waveform):
-            # Time-varying control: evaluate on each lane's own grid
-            # (lanes share dt but not necessarily the origin).
-            amplitude = np.stack(
-                [
-                    self.params.amplitude_from_vctrl(
-                        vctrl.value_at(batch.lane_times(lane))
-                    )
-                    for lane in range(batch.n_lanes)
-                ]
+        control = self._vctrl if vctrl is None else vctrl
+        if not isinstance(control, Waveform):
+            control = self.params.amplitude_from_vctrl(
+                np.asarray(control, dtype=np.float64)
             )
-        else:
-            amplitude = self.params.amplitude_from_vctrl(
-                np.asarray(vctrl, dtype=np.float64)
-            )
-        return limiting_stage_batch(batch, amplitude, self.params, rngs)
+        return limiting_stage_batch(batch, control, self.params, rngs)

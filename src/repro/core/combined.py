@@ -179,9 +179,7 @@ class CombinedDelayLine(CircuitElement):
         prime: Optional[Waveform] = None,
     ):
         """Yield the combined output chunk by chunk (see :meth:`open_stream`)."""
-        processor = self.open_stream(rng=rng, prime=prime)
-        for chunk in chunks:
-            yield processor.push(chunk)
+        yield from self.open_stream(rng=rng, prime=prime).process(chunks)
 
     def process_batch(
         self,

@@ -20,12 +20,12 @@ from ..circuits.element import CircuitElement
 from ..circuits.vga_buffer import (
     BufferParams,
     ControlInput,
+    StagePlanner,
     VariableGainBuffer,
-    band_limited_noise_batch,
+    stage_control,
 )
 from ..errors import CircuitError
 from ..kernels.cascade import CascadeStage
-from ..signals.filters import bandwidth_to_time_constant, cascade_filter_plan
 from ..signals.waveform import Waveform, WaveformBatch
 from .params import DEFAULT_FINE_STAGES, FOUR_STAGE_BUFFER
 
@@ -179,9 +179,7 @@ class FineDelayLine(CircuitElement):
         prime: Optional[Waveform] = None,
     ):
         """Yield the cascade output chunk by chunk (see :meth:`open_stream`)."""
-        processor = self.open_stream(rng=rng, prime=prime)
-        for chunk in chunks:
-            yield processor.push(chunk)
+        yield from self.open_stream(rng=rng, prime=prime).process(chunks)
 
     def process_batch(
         self,
@@ -231,33 +229,6 @@ class FineDelayLine(CircuitElement):
         ) - self.nominal_delay(self.params.vctrl_min, half_period)
 
 
-# Stage physics a pack may NOT vary lane to lane: these feed shared
-# kernel state (the filter discretisation, the compression law, the
-# linear-range scaling), so differing values would need per-lane
-# kernels.  The instance-variation model only perturbs the complement
-# (slew rate, amplitude floor/ceiling, propagation delay, noise sigma).
-_SHARED_STAGE_FIELDS = (
-    "v_linear",
-    "bandwidth",
-    "noise_bandwidth",
-    "compression_corner",
-    "compression_order",
-)
-
-
-def _collapse_lane_values(values: np.ndarray):
-    """Return a plain float when every lane agrees, else the array.
-
-    Uniform packs (and the output stage, whose params no variation
-    touches) stay on the scalar-parameter kernel path this way — the
-    exact code the unpacked batch path runs.
-    """
-    first = float(values.flat[0])
-    if np.all(values == first):
-        return first
-    return values
-
-
 def cascade_plan_pack(
     lines: Sequence[FineDelayLine],
     batch: WaveformBatch,
@@ -266,15 +237,17 @@ def cascade_plan_pack(
 ) -> Tuple[List[CascadeStage], np.ndarray]:
     """Fused-kernel plan for a *pack*: lane ``i`` runs ``lines[i]``.
 
-    The one batch plan builder.  A pack runs many structurally-identical
-    lines — e.g. the same campaign scenario under different Monte-Carlo
-    variation draws — through one fused kernel call; a batch through
-    one line (:meth:`FineDelayLine.process_batch`) is the same line
-    repeated.  Each lane gets its own amplitude target (via its line's
-    own control mapping), slew limit, amplitude floor, propagation
-    delay, and noise sigma; the shared stage physics
-    (:data:`_SHARED_STAGE_FIELDS`) are re-validated cheaply here because
-    they feed kernel state common to all lanes.
+    A pack runs many structurally-identical lines — e.g. the same
+    campaign scenario under different Monte-Carlo variation draws —
+    through one fused kernel call; a batch through one line
+    (:meth:`FineDelayLine.process_batch`) is the same line repeated,
+    and :meth:`FineDelayLine.process` is a pack of one.  Each stage is
+    one :class:`~repro.circuits.vga_buffer.StagePlanner` call on a
+    fresh planner (offset 0, fresh noise) — the planner a stream
+    carries from chunk to chunk — so each lane gets its own amplitude
+    target (via its line's own control mapping), slew limit, amplitude
+    floor, propagation delay and noise sigma, while the planner checks
+    that the lanes share the physics that feed common kernel state.
 
     *vctrls* optionally programs lane ``i``'s common control voltage;
     ``None`` keeps each line's own per-stage programming.  A
@@ -310,97 +283,20 @@ def cascade_plan_pack(
                 f"vctrls must have one entry per lane ({n_lanes}), "
                 f"got shape {vctrls.shape}"
             )
-    dt = batch.dt
-    n = batch.n_samples
     t_acc = np.asarray(batch.t0, dtype=np.float64).copy()
-    lane_elements = [line._elements() for line in lines]
     stages: List[CascadeStage] = []
-    for index in range(len(lane_elements[0])):
-        elements = [row[index] for row in lane_elements]
-        params0 = elements[0].params
-        for element in elements[1:]:
-            for field in _SHARED_STAGE_FIELDS:
-                if getattr(element.params, field) != getattr(
-                    params0, field
-                ):
-                    raise CircuitError(
-                        f"pack lanes disagree on shared stage field "
-                        f"{field!r} at stage {index}"
-                    )
-        amplitudes = []
-        per_sample = False
-        for lane, element in enumerate(elements):
-            if isinstance(element, VariableGainBuffer):
-                vctrl = (
-                    vctrls[lane] if vctrls is not None else element.vctrl
-                )
-                if isinstance(vctrl, Waveform):
-                    per_sample = True
-                    times = t_acc[lane] + dt * np.arange(n)
-                    amplitudes.append(
-                        element.params.amplitude_from_vctrl(
-                            vctrl.value_at(times)
-                        )
-                    )
-                else:
-                    amplitudes.append(
-                        element.params.amplitude_from_vctrl(float(vctrl))
-                    )
-            else:
-                amplitudes.append(element.amplitude)
-        if per_sample:
-            amplitude = np.stack(
-                [np.broadcast_to(value, (n,)) for value in amplitudes]
-            ).astype(np.float64)
-        else:
-            amplitudes = np.asarray(amplitudes, dtype=np.float64)
-            amplitude = _collapse_lane_values(amplitudes)
-            if isinstance(amplitude, float):
-                amplitude = np.asarray(amplitude, dtype=np.float64)
-            else:
-                amplitude = amplitudes[:, None]
-        sigmas = np.array(
-            [element.params.noise_sigma for element in elements]
+    for elements in zip(*(line._elements() for line in lines)):
+        planner = StagePlanner(
+            [element.params for element in elements],
+            [
+                stage_control(e, None if vctrls is None else vctrls[lane])
+                for lane, e in enumerate(elements)
+            ],
+            [e._resolve_rng(rng) for e, rng in zip(elements, rngs)],
+            batch.dt,
+            t_acc,
         )
-        noise = None
-        if np.any(sigmas > 0):
-            noise = band_limited_noise_batch(
-                n_lanes,
-                n,
-                sigmas,
-                params0.noise_bandwidth,
-                dt,
-                [
-                    element._resolve_rng(rng)
-                    for element, rng in zip(elements, rngs)
-                ],
-            )
-        tau = bandwidth_to_time_constant(params0.bandwidth)
-        b, a, zi_unit = cascade_filter_plan(dt, tau)
-        amplitude_min = _collapse_lane_values(
-            np.array([e.params.amplitude_min for e in elements])
-        )
-        if isinstance(amplitude_min, np.ndarray):
-            amplitude_min = amplitude_min[:, None]
-        max_step = _collapse_lane_values(
-            np.array([e.params.slew_rate * dt for e in elements])
-        )
-        if isinstance(max_step, np.ndarray):
-            max_step = max_step[:, None]
-        stages.append(
-            CascadeStage(
-                amplitude=amplitude,
-                amplitude_min=amplitude_min,
-                v_linear=params0.v_linear,
-                max_step=max_step,
-                corner=params0.compression_corner,
-                order=params0.compression_order,
-                b=b,
-                a=a,
-                zi_unit=zi_unit,
-                noise=noise,
-            )
-        )
+        stages.append(planner.plan(batch.n_samples))
         t_acc = t_acc + np.array(
             [element.params.propagation_delay for element in elements]
         )

@@ -262,11 +262,13 @@ def fine_delay_cascade(
 ) -> np.ndarray:
     """Run a whole N-stage buffer cascade over *values* in one kernel call.
 
-    *stages* is a pre-built plan (see :class:`CascadeStage`): amplitude
-    targets already resolved from control voltages, noise already drawn
-    in stage order, filters already discretised.  Stage semantics are
-    identical to :func:`repro.circuits.vga_buffer.limiting_stage_batch`
-    chained N times, minus the per-stage Waveform round-trips.
+    *stages* is a pre-built plan (see :class:`CascadeStage`), one
+    :class:`repro.circuits.vga_buffer.StagePlanner` call per stage:
+    amplitude targets already resolved from control voltages, noise
+    already drawn in stage order, filters already discretised.  Stage
+    semantics are identical to
+    :func:`repro.circuits.vga_buffer.limiting_stage_batch` chained N
+    times, minus the per-stage Waveform round-trips.
 
     This is the backend's cascade kernel on one lane and fresh state:
     the whole record is one chunk.  It records its own

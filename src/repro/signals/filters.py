@@ -73,7 +73,7 @@ def bilinear_lowpass_coefficients(dt: float, tau: float) -> tuple:
     This is the one place the one-pole discretisation lives: the
     stage-bandwidth filter of every cascade plan (through
     :func:`cascade_filter_plan`), the noise band-limiting in
-    :func:`repro.circuits.vga_buffer.band_limited_noise`, and
+    :class:`repro.circuits.vga_buffer.BandLimitedNoise`, and
     :func:`single_pole_lowpass` all share these coefficients, so a
     change to the discretisation cannot silently de-synchronise them.
     """
@@ -141,11 +141,11 @@ def cascade_filter_plan(dt: float, tau: float) -> tuple:
 
     One lookup serves everything a :class:`~repro.kernels.cascade.CascadeStage`
     needs from the filter layer — the bilinear coefficients and the
-    settled unit state — so plan compilation (``cascade_plan_pack``,
-    ``limiting_stage_batch``) and the streaming ``_StageOp`` binder
-    cost a dict hit per stage instead of re-deriving the
-    discretisation.  Arrays are read-only; treat the
-    tuple as immutable.
+    settled unit state — so building a
+    :class:`~repro.circuits.vga_buffer.StagePlanner` (for a whole
+    record, a pack, a standalone stage or a stream) costs a dict hit
+    per stage instead of re-deriving the discretisation.  Arrays are
+    read-only; treat the tuple as immutable.
     """
     key = (float(dt), float(tau))
     with _FILTER_CACHE_LOCK:

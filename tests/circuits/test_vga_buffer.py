@@ -14,6 +14,7 @@ from repro.circuits import (
     VariableGainBuffer,
     band_limited_noise,
 )
+from repro.circuits.vga_buffer import BandLimitedNoise
 from repro.errors import CircuitError, ControlRangeError
 from repro.kernels import python_backend
 from repro.kernels.cascade import CascadeStage
@@ -279,6 +280,22 @@ class TestBandLimitedNoise:
         long = np.mean([tail_power(4096, s) for s in range(30)])
         assert math.sqrt(short) == pytest.approx(sigma, rel=0.08)
         assert math.sqrt(short) == pytest.approx(math.sqrt(long), rel=0.08)
+
+
+    @pytest.mark.parametrize("bandwidth", [5e9, 600e9])
+    def test_chunked_draws_continue_one_record(self, bandwidth):
+        # A source drawn chunk by chunk, at the gain its first draw of
+        # the whole record froze, is that record sample for sample.
+        whole = BandLimitedNoise(
+            0.1, bandwidth, 1e-12, np.random.default_rng(3)
+        )
+        record = whole.draw(1000)
+        source = BandLimitedNoise(
+            0.1, bandwidth, 1e-12, np.random.default_rng(3)
+        )
+        source.gain = whole.gain
+        chunks = [source.draw(n) for n in (1, 300, 699)]
+        assert np.concatenate(chunks).tobytes() == record.tobytes()
 
 
 class TestVariableGainBuffer:

@@ -9,8 +9,9 @@ Contract (see DESIGN.md §"Streaming engine" and the
   including pathological one-sample chunks.
 * On **numpy** the streamed output must land within 0.01 ps of the
   monolithic path's measured delay.
-* A fresh processor fed the whole record as one chunk equals the
-  monolithic path with no priming pass at all (the first chunk *is*
+* A whole record is a one-chunk stream: a fresh processor fed the
+  whole record as one chunk is byte-identical to the monolithic path
+  on every backend, with no priming pass at all (the first chunk *is*
   the whole record, so the frozen statistics match).
 * Malformed streams — dt changes, gaps, overlaps, empty chunks,
   priming after data — fail fast with :class:`CircuitError`.
@@ -21,7 +22,7 @@ import pytest
 
 from repro import kernels
 from repro.analysis import measure_delay
-from repro.core import FineDelayLine, StreamProcessor, calibration_stimulus
+from repro.core import FineDelayLine, calibration_stimulus
 from repro.core.fine_delay import cascade_plan_pack
 from repro.errors import CircuitError, WaveformError
 from repro.kernels import python_backend
@@ -137,21 +138,31 @@ def test_delay_contract_all_backends(backend):
     assert abs(d_stream - d_mono) < DELAY_TOLERANCE
 
 
+def _vctrl_tone(stimulus):
+    """A slow control-voltage tone across *stimulus* (jitter injection)."""
+    return Waveform(
+        0.75 + 0.35 * np.sin(2 * np.pi * stimulus.times() / 2e-9),
+        stimulus.dt,
+        stimulus.t0,
+    )
+
+
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_single_chunk_equals_monolithic_without_prime(backend):
-    """Whole record as one chunk: the frozen first-chunk statistics are
-    the whole-record statistics, so no priming pass is needed."""
+    """A whole record is a one-chunk stream: a fresh processor fed the
+    record as one chunk is byte-identical to the monolithic path on
+    every backend, with a scalar and with a waveform Vctrl, and with no
+    priming pass (the first chunk's frozen statistics are the
+    whole-record statistics)."""
     kernels.set_backend(backend)
     stimulus = _stimulus()
-    mono = FineDelayLine(n_stages=4, seed=11).process(stimulus)
-    line = FineDelayLine(n_stages=4, seed=11)
-    out = line.open_stream().push(stimulus)
-    if backend == "python":
-        assert np.array_equal(out.values, mono.values)
-    else:
-        d_mono = measure_delay(stimulus, mono).delay
-        d_stream = measure_delay(stimulus, out).delay
-        assert abs(d_stream - d_mono) < DELAY_TOLERANCE
+    for vctrl in (0.75, _vctrl_tone(stimulus)):
+        mono_line = FineDelayLine(n_stages=4, seed=11, vctrl=vctrl)
+        line = FineDelayLine(n_stages=4, seed=11, vctrl=vctrl)
+        mono = mono_line.process(stimulus)
+        out = line.open_stream().push(stimulus)
+        assert out.values.tobytes() == mono.values.tobytes()
+        assert out.t0 == mono.t0
 
 
 def test_streamed_run_is_deterministic():
@@ -206,12 +217,7 @@ def test_jitter_injection_vctrl_waveform_streams_exactly():
     the global time grid, so chunked jitter injection is bit-exact."""
     kernels.set_backend("python")
     stimulus = _stimulus()
-    t = stimulus.times()
-    vwave = Waveform(
-        0.75 + 0.35 * np.sin(2 * np.pi * t / 2e-9),
-        stimulus.dt,
-        stimulus.t0,
-    )
+    vwave = _vctrl_tone(stimulus)
     mono_line = FineDelayLine(n_stages=2, seed=8)
     mono_line.vctrl = vwave
     mono = mono_line.process(stimulus)
@@ -309,6 +315,18 @@ def test_rejects_non_contiguous_chunk():
     gap_t0 = stimulus.t_end + 5 * stimulus.dt
     with pytest.raises(CircuitError, match="contiguous"):
         processor.push(Waveform(stimulus.values, stimulus.dt, gap_t0))
+
+
+def test_prime_binds_the_time_grid():
+    # The priming record is the stream's record: the first chunk must
+    # start where it starts.
+    stimulus = _stimulus(n_bits=4, dt=10e-12)
+    processor = _open()
+    processor.prime(stimulus)
+    with pytest.raises(CircuitError, match="contiguous"):
+        processor.push(
+            Waveform(stimulus.values, stimulus.dt, stimulus.t_end)
+        )
 
 
 def test_rejects_prime_after_push():
