@@ -22,7 +22,9 @@ Usage::
 What gets recorded when enabled:
 
 * :func:`span` — nestable wall-clock stage timers (delay-line stages,
-  deskew iterations, calibration sweeps, experiment runners);
+  deskew iterations, calibration sweeps, experiment runners); a helper
+  thread nests its spans under its caller's with :func:`open_path` and
+  :func:`nested_under`;
 * :func:`count` — monotonic counters;
 * :func:`record_kernel_op` — the kernel dispatcher's per-op call /
   sample / wall-time counters plus which backend served the call.
@@ -37,7 +39,14 @@ to a validated JSON manifest (:mod:`repro.instrument.manifest`) which
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import (
+    ContextManager,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .manifest import (
     MANIFEST_SCHEMA,
@@ -60,6 +69,8 @@ __all__ = [
     "registry_scope",
     "get_registry",
     "span",
+    "open_path",
+    "nested_under",
     "count",
     "record_kernel_op",
     "MANIFEST_SCHEMA",
@@ -168,6 +179,16 @@ def span(name: str) -> Union[Span, _NullSpan]:
     if not _enabled:
         return _NULL_SPAN
     return _registry.span(name)
+
+
+def open_path() -> Tuple[str, ...]:
+    """The calling thread's open span names (pass to :func:`nested_under`)."""
+    return _registry.open_path()
+
+
+def nested_under(path: Sequence[str]) -> ContextManager[None]:
+    """Nest this thread's spans under another thread's :func:`open_path`."""
+    return _registry.nested_under(path)
 
 
 def count(name: str, value: float = 1) -> None:

@@ -12,7 +12,9 @@ spans
     (``"deskew/measure_arrivals/bus.acquire"``).  Spans nest through a
     thread-local stack, so the same code emits the same span name
     everywhere and the registry attributes the time to wherever the
-    call actually sat in the stage tree.
+    call actually sat in the stage tree.  A helper thread adopts its
+    caller's open path (:meth:`Registry.nested_under`), so work split
+    across threads lands under the same paths as inline work.
 
 Everything is thread-safe behind one lock.  Process safety is by
 value, not by sharing: each worker process accumulates into its own
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 __all__ = ["Registry", "Span"]
 
@@ -83,6 +86,25 @@ class Registry:
             stack = []
             self._local.stack = stack
         return stack
+
+    def open_path(self) -> Tuple[str, ...]:
+        """The calling thread's open span names, outermost first."""
+        return tuple(self._stack())
+
+    @contextmanager
+    def nested_under(self, path: Sequence[str]) -> Iterator[None]:
+        """Open this thread's spans under *path* for a ``with`` block.
+
+        *path* is another thread's :meth:`open_path`: work handed to a
+        helper thread keeps the span paths it would have had inline.
+        """
+        stack = self._stack()
+        saved = stack[:]
+        stack[:] = path
+        try:
+            yield
+        finally:
+            stack[:] = saved
 
     def span(self, name: str) -> Span:
         """A context manager timing one stage, nested under open spans."""
