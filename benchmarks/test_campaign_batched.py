@@ -4,7 +4,9 @@ Three claims are measured on a 64-point range campaign:
 
 * packing amortises fused-kernel dispatch: one ``--batch-lanes auto``
   run issues at least 3x fewer fused cascade calls than the scalar
-  run it replaces (measured ~16x: 64 points collapse into 4 packs),
+  run it replaces (64 points collapse into 4 packs: ~16x on one CPU,
+  ~8x on two, where each pack's calibration dispatches once per CPU
+  block),
 * the packed run's metrics match the scalar run's per point — byte
   for byte on the python backend, within the 0.01 ps drift budget on
   the array backends (the lane-parallel relaxation rounds differently
