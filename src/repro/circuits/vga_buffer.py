@@ -263,11 +263,27 @@ class BandLimitedNoise:
             self._b, self._a = bilinear_lowpass_coefficients(dt, tau)
             self._zi = np.zeros(len(self._a) - 1)
 
-    def draw(self, n_samples: int) -> np.ndarray:
-        """The next *n_samples* of the noise record."""
+    def draw(
+        self, n_samples: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The next *n_samples* of the noise record.
+
+        *out*, when given, is a float64 row of *n_samples* the record
+        is written into and returned as: the white draw lands in it
+        (unless a warm-up prefix makes the draw longer) and the scaled
+        filter output replaces it, so a reused row costs one filter
+        output per draw.  The bytes and the generator's consumption are
+        those of a fresh ``draw(n_samples)``.
+        """
+        if out is None:
+            out = np.empty(n_samples)
         if self.sigma == 0.0 or n_samples == 0:
-            return np.zeros(n_samples)
-        filtered = self.rng.normal(0.0, 1.0, size=n_samples + self._warmup)
+            out.fill(0.0)
+            return out
+        if self._warmup:
+            filtered = self.rng.standard_normal(n_samples + self._warmup)
+        else:
+            filtered = self.rng.standard_normal(out=out)
         if self._b is not None:
             filtered, self._zi = _scipy_signal.lfilter(
                 self._b, self._a, filtered, zi=self._zi
@@ -277,7 +293,7 @@ class BandLimitedNoise:
         if self.gain is None:
             rms = float(np.sqrt(np.mean(filtered**2)))
             self.gain = 0.0 if rms == 0.0 else self.sigma / rms
-        return filtered * self.gain
+        return np.multiply(filtered, self.gain, out=out)
 
 
 def band_limited_noise(
@@ -353,6 +369,11 @@ class StagePlanner:
     it, and the offset advances.  A whole record or a pack is one call
     on a fresh planner; a stream plans every chunk on the planner it
     built for its first, so the chunk plans tile the whole-record plan.
+
+    The planner draws every lane's noise into one ``(lanes, n)`` block
+    that it reuses from call to call while *n* holds, so a plan's
+    ``noise`` is valid until the planner's next :meth:`plan` call
+    (every caller runs a plan through the kernel at once).
     """
 
     def __init__(
@@ -387,6 +408,7 @@ class StagePlanner:
             [p.slew_rate * dt for p in self.params]
         )
         self.noise: Optional[List[BandLimitedNoise]] = None
+        self._noise_block: Optional[np.ndarray] = None
         if any(p.noise_sigma > 0 for p in self.params):
             self.noise = [
                 BandLimitedNoise(
@@ -401,7 +423,11 @@ class StagePlanner:
             )
 
     def plan(self, n_samples: int) -> CascadeStage:
-        """The stage for the next *n_samples* of every lane."""
+        """The stage for the next *n_samples* of every lane.
+
+        Its ``noise`` block is overwritten by the next call on this
+        planner: run the plan before planning again.
+        """
         amplitude = self._static_amplitude
         if amplitude is None:
             rows = []
@@ -417,9 +443,12 @@ class StagePlanner:
             amplitude = np.stack(rows).astype(np.float64)
         noise = None
         if self.noise is not None:
-            noise = np.empty((len(self.noise), n_samples))
-            for lane, source in enumerate(self.noise):
-                noise[lane] = source.draw(n_samples)
+            shape = (len(self.noise), n_samples)
+            if self._noise_block is None or self._noise_block.shape != shape:
+                self._noise_block = np.empty(shape)
+            noise = self._noise_block
+            for source, row in zip(self.noise, noise):
+                source.draw(n_samples, out=row)
         self.offset += n_samples
         shared = self.params[0]
         return CascadeStage(

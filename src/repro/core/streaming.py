@@ -27,6 +27,20 @@ streams alone:
 * the transmission-line dispersion filter state;
 * priming (below).
 
+Chunk buffers
+-------------
+A stream's full-length work arrays live as long as the stream: the
+numpy kernel keeps its four scratch arrays (the noisy record, the tanh
+output and the target floor and extra, the last two of which the slew
+relaxation reuses for its step and output) with the carry states, and
+each stage planner draws its lanes' noise into one reused block.
+Same-length pushes therefore reuse the same arrays instead of handing
+the heap back and faulting it in again on every chunk; a shorter chunk
+(the last one) gets arrays of its own shape.
+No reuse shows in a result: each output chunk is the kernel's last
+filter output, never a held buffer, and the bytes are those of fresh
+arrays (``tests/kernels/test_chunk_buffers.py``).
+
 Equivalence contract (asserted by ``tests/kernels/test_streaming.py``
 and ``tests/core/test_streaming.py``): a fresh stream fed the whole
 record as one chunk is byte-identical to the monolithic path on every

@@ -291,7 +291,8 @@ def fine_delay_cascade_stream(
     state across successive calls, so feeding the chunks of a split
     record through this kernel reproduces one whole-record call — see
     :mod:`repro.core.streaming` for the chunk invariants.  The chunk
-    is one lane.
+    is one lane.  The numpy kernel also keeps its full-length scratch
+    arrays in *states*, so same-length chunks reuse them.
     """
     return _cascade(
         "fine_delay_cascade_stream", values, stages, dt, states, 1

@@ -34,7 +34,7 @@ within 0.01 ps of measured delay on numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -133,6 +133,12 @@ class CascadeStageState:
     ``primed`` distinguishes a fresh state (the kernel seeds every
     lane's recurrences from this chunk's first sample) from a carried
     one.
+
+    ``scratch`` holds full-length work arrays a backend kernel reuses
+    from call to call (see :meth:`buffer`).  They carry no state: every
+    call overwrites them before reading, so a stream's same-length
+    chunks allocate no fresh scratch, and a fresh state's scratch is
+    freed with the state when a whole-record call returns.
     """
 
     hysteresis: Optional[np.ndarray] = None
@@ -143,6 +149,20 @@ class CascadeStageState:
     slew_y: Optional[np.ndarray] = None
     filter_zi: Optional[np.ndarray] = None
     primed: bool = False
+    scratch: "dict[str, np.ndarray]" = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def buffer(self, name: str, shape: "tuple[int, ...]") -> np.ndarray:
+        """The float64 scratch array *name* of *shape*, uninitialised.
+
+        The same array comes back while the shape holds; a new shape
+        (a stream's shorter last chunk) replaces it.
+        """
+        array = self.scratch.get(name)
+        if array is None or array.shape != shape:
+            array = self.scratch[name] = np.empty(shape)
+        return array
 
     def freeze_stats(self, hysteresis, initial_interval) -> None:
         """Pin the whole-record statistics (one value per lane)."""

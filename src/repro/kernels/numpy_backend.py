@@ -19,7 +19,9 @@ predecessor changed, so the cost tracks the ramping samples and the
 sweeps are array operations shared by every lane.  The result is the
 sequential recurrence bit for bit on every lane that settles within
 the sweep cap, and lanes never interact, so a lane's output does not
-depend on the call it rides in.
+depend on the call it rides in.  The kernel writes its element-wise
+steps in place into full-length scratch arrays kept with the carry
+states, never into its inputs, so a stream's chunks reuse them.
 
 A lane whose ramp outlasts the sweep cap falls back to the event walk
 :func:`slew_limit`.  A slew limiter is always in one of two regimes —
@@ -222,7 +224,11 @@ _RELAX_MAX_SWEEPS = 192
 
 
 def _slew_limit_relax(
-    targets: np.ndarray, max_step, initials: np.ndarray
+    targets: np.ndarray,
+    max_step,
+    initials: np.ndarray,
+    out: "np.ndarray | None" = None,
+    delta: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Lane-parallel slew limiting by frontier relaxation.
 
@@ -246,7 +252,9 @@ def _slew_limit_relax(
     :func:`slew_limit`, which agrees with the recurrence to rounding.
 
     *max_step* is a shared float or a per-lane array (pack plans carry
-    per-instance slew rates).
+    per-instance slew rates).  *out* and *delta*, when given, are
+    ``targets``-shaped scratch arrays the result and the dense sweep's
+    step are written into; *targets* and *initials* are only read.
     """
     n_lanes, n = targets.shape
     if n == 0:
@@ -258,10 +266,11 @@ def _slew_limit_relax(
         step = lane_steps[:, None]
     # Sweep 1, dense: the predecessor of sample 0 is the initial level,
     # of every other sample its own target.
-    out = np.empty((n_lanes, n))
+    if out is None:
+        out = np.empty((n_lanes, n))
     out[:, 0] = initials
     out[:, 1:] = targets[:, :-1]
-    delta = np.subtract(targets, out)
+    delta = np.subtract(targets, out, out=delta)
     np.clip(delta, -step, step, out=delta)
     out += delta
     del delta
@@ -389,8 +398,11 @@ def _compressive_target(
     seg_values[starts] = scale_in
     elapsed = ages[:-1][is_flip[1:]]
     seg_values[is_flip] = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
-    scale = np.repeat(seg_values, seg_lengths).reshape(n_lanes, n)
-    target = target_floor + scale * target_extra
+    # The target ``floor + scale * extra`` is built in the repeat's own
+    # output, the one full-length array this function allocates.
+    target = np.repeat(seg_values, seg_lengths).reshape(n_lanes, n)
+    np.multiply(target, target_extra, out=target)
+    np.add(target_floor, target, out=target)
     if carry.primed:
         y_start = carry.slew_y
     else:
@@ -411,11 +423,20 @@ def fine_delay_cascade(
     Mirrors the reference semantics (see
     ``python_backend.fine_delay_cascade``) with this backend's
     vectorised machinery.  Per-stage element-wise work (noise add,
-    limiting tanh) runs in place in a scratch buffer owned by the
-    kernel; the compressed slew target comes from the carry-aware
-    comparator decomposition (:func:`_compressive_target`); the stage
-    filter starts from the plan's precomputed settled state, or the
-    carried filter state.
+    limiting tanh, target floor and extra, the slew relaxation's step
+    and output) writes in place into four full-length scratch arrays
+    kept with the carry states (:meth:`CascadeStageState.buffer` on the
+    first stage's state; the stages run one after another, so they
+    share one set).  A stream's states live from chunk to chunk, so its
+    same-length chunks reuse the same arrays instead of faulting fresh
+    heap pages in on every push; a whole-record or pack call runs on
+    fresh states, whose scratch is freed when the call returns.  The
+    caller's *values* and the plan's arrays are only read, and the
+    returned record is the last stage's filter output, never scratch.
+    The compressed slew target comes from the carry-aware comparator
+    decomposition (:func:`_compressive_target`); the stage filter
+    starts from the plan's precomputed settled state, or the carried
+    filter state.
 
     Every stage slews all its lanes with one frontier relaxation
     (:func:`_slew_limit_relax`), however many lanes the call has, and
@@ -425,33 +446,50 @@ def fine_delay_cascade(
     0.01 ps delay contract): the carried half-cycle age is
     ``(n - last_flip) * dt``, not a running sum.
     """
-    x = values.copy()
-    scratch = np.empty_like(x)
+    if not stages:
+        return values.copy()
+    held = states[0]
+    shape = values.shape
+    x = values
     for stage, carry in zip(stages, states):
         if stage.noise is not None:
-            np.add(x, stage.noise, out=x)
+            x = np.add(x, stage.noise, out=held.buffer("record", shape))
         v_in = x
-        np.divide(v_in, stage.v_linear, out=scratch)
-        limited = np.tanh(scratch, out=scratch)
+        limited = held.buffer("limited", shape)
+        np.divide(v_in, stage.v_linear, out=limited)
+        np.tanh(limited, out=limited)
         amplitude = stage.amplitude
         if np.isfinite(stage.corner):
             floor = np.minimum(amplitude, stage.amplitude_min)
             carry.freeze_from(v_in, dt)
             target, y_start = _compressive_target(
                 v_in,
-                floor * limited,
-                (amplitude - floor) * limited,
+                np.multiply(floor, limited, out=held.buffer("floor", shape)),
+                np.multiply(
+                    amplitude - floor, limited, out=held.buffer("extra", shape)
+                ),
                 dt,
                 stage.corner,
                 stage.order,
                 carry,
             )
         else:
-            target = amplitude * limited
-            y_start = carry.slew_y if carry.primed else target[:, 0]
-        slewed = _slew_limit_relax(target, stage.max_step, y_start)
-        # Free the target before the next stage builds its own: a
-        # batch's targets are full (lanes, samples) records.
+            target = np.multiply(
+                amplitude, limited, out=held.buffer("floor", shape)
+            )
+            y_start = carry.slew_y if carry.primed else target[:, 0].copy()
+        # The tanh output and the extra target are spent once the
+        # target is built: the relaxation writes its step and output
+        # there.
+        slewed = _slew_limit_relax(
+            target,
+            stage.max_step,
+            y_start,
+            held.buffer("extra", shape),
+            limited,
+        )
+        # Free a compressive target (the one full-length array not
+        # held) before the next stage builds its own.
         del target
         carry.slew_y = slewed[:, -1].copy()
         if carry.filter_zi is None:
