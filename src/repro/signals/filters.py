@@ -222,30 +222,46 @@ def single_pole_highpass(
     return Waveform(filtered, waveform.dt, waveform.t0)
 
 
+def _gaussian_kernel(sigma_samples: float) -> np.ndarray:
+    """Unit-area Gaussian FIR of *sigma_samples*, cut at ±4 sigma.
+
+    The one Gaussian kernel builder: :func:`gaussian_lowpass` and the
+    edge shaping of synthesized NRZ records and stream chunks use it.
+    """
+    half_width = max(1, int(math.ceil(4.0 * sigma_samples)))
+    x = np.arange(-half_width, half_width + 1, dtype=np.float64)
+    kernel = np.exp(-0.5 * (x / sigma_samples) ** 2)
+    kernel /= kernel.sum()
+    return kernel
+
+
+def _edge_padded_convolve(
+    values: np.ndarray, kernel: np.ndarray, left: int, right: int
+) -> np.ndarray:
+    """``valid`` convolution of *values* padded with *left* copies of
+    its first sample and *right* copies of its last (half the kernel on
+    both sides keeps a whole record's length)."""
+    if left or right:
+        values = np.concatenate(
+            [np.full(left, values[0]), values, np.full(right, values[-1])]
+        )
+    return np.convolve(values, kernel, mode="valid")
+
+
 def gaussian_lowpass(waveform: Waveform, sigma_time: float) -> Waveform:
     """Zero-phase Gaussian smoothing with standard deviation *sigma_time*.
 
     Linear-phase (symmetric) filtering: edge positions are preserved,
-    only their slopes change.  Used for scope-style display smoothing
-    and for synthesising source rise times.
+    only their slopes change.  Used for scope-style display smoothing;
+    synthesized edges use the same kernel.
     """
     if sigma_time < 0:
         raise WaveformError(f"sigma must be >= 0, got {sigma_time}")
     if sigma_time == 0:
         return waveform.copy()
-    sigma_samples = sigma_time / waveform.dt
-    half_width = max(1, int(math.ceil(4.0 * sigma_samples)))
-    x = np.arange(-half_width, half_width + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (x / sigma_samples) ** 2)
-    kernel /= kernel.sum()
-    padded = np.concatenate(
-        [
-            np.full(half_width, waveform.values[0]),
-            waveform.values,
-            np.full(half_width, waveform.values[-1]),
-        ]
-    )
-    smoothed = np.convolve(padded, kernel, mode="valid")
+    kernel = _gaussian_kernel(sigma_time / waveform.dt)
+    half = kernel.size // 2
+    smoothed = _edge_padded_convolve(waveform.values, kernel, half, half)
     return Waveform(smoothed, waveform.dt, waveform.t0)
 
 
@@ -263,14 +279,8 @@ def moving_average(waveform: Waveform, window_time: float) -> Waveform:
         window += 1
     if window == 1:
         return waveform.copy()
-    kernel = np.full(window, 1.0 / window)
     half = window // 2
-    padded = np.concatenate(
-        [
-            np.full(half, waveform.values[0]),
-            waveform.values,
-            np.full(half, waveform.values[-1]),
-        ]
+    averaged = _edge_padded_convolve(
+        waveform.values, np.full(window, 1.0 / window), half, half
     )
-    averaged = np.convolve(padded, kernel, mode="valid")
     return Waveform(averaged, waveform.dt, waveform.t0)

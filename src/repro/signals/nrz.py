@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import PatternError, WaveformError
+from .filters import _edge_padded_convolve, _gaussian_kernel
 from .patterns import alternating_bits
 from .waveform import Waveform
 
@@ -114,6 +115,8 @@ def render_transitions(
     targets = np.asarray(targets, dtype=np.int64)
     if times.shape != targets.shape:
         raise WaveformError("times and targets must have the same length")
+    if not np.isfinite(times).all():
+        raise WaveformError("transition times must be finite")
     if times.size > 1 and np.any(np.diff(times) < 0):
         raise WaveformError("transition times must be ascending")
     n_samples = int(round(duration / dt)) + 1
@@ -122,54 +125,97 @@ def render_transitions(
 
     levels = np.where(targets == 1, amplitude, -amplitude)
     if initial_level is None:
-        if levels.size:
-            initial_level = -levels[0]
-        else:
-            initial_level = -amplitude
-
-    values = np.full(n_samples, float(initial_level))
-    current = float(initial_level)
-    for instant, level in zip(times, levels):
-        index_float = (instant - t0) / dt
-        # Area-preserving placement: the sample whose +-dt/2 window
-        # contains the instant takes the window-average value, so the
-        # step's centroid — and hence the 50 % crossing after the
-        # (symmetric) edge-shaping filter — lands at `instant` exactly.
-        nearest = int(math.floor(index_float + 0.5))
-        delta = index_float - nearest  # in [-0.5, 0.5)
-        if nearest >= n_samples:
-            break
-        if nearest < 0:
-            # Transition happened before the record: adopt the level.
-            current = float(level)
-            values[:] = current
-            continue
-        values[nearest + 1 :] = level
-        values[nearest] = current + (0.5 - delta) * (level - current)
-        current = float(level)
-
-    if rise_time > 0.0:
-        sigma = rise_time / GAUSSIAN_RISE_SIGMA_RATIO
-        values = _gaussian_smooth(values, sigma / dt)
+        initial_level = -levels[0] if levels.size else -amplitude
+    # The whole record is one window, with no guard band.
+    record = (0, n_samples)
+    values = _render_window(
+        *_place_transitions(
+            (times - t0) / dt, levels, n_samples, float(initial_level)
+        ),
+        record,
+        record,
+        _edge_kernel(rise_time, dt),
+    )
     return Waveform(values, dt, t0)
 
 
-def _gaussian_smooth(values: np.ndarray, sigma_samples: float) -> np.ndarray:
-    """Convolve with a unit-area Gaussian kernel (edge-padded)."""
-    if sigma_samples <= 0:
-        return values
-    half_width = max(1, int(math.ceil(4.0 * sigma_samples)))
-    x = np.arange(-half_width, half_width + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (x / sigma_samples) ** 2)
-    kernel /= kernel.sum()
-    padded = np.concatenate(
-        [
-            np.full(half_width, values[0]),
-            values,
-            np.full(half_width, values[-1]),
-        ]
+def _edge_kernel(rise_time: float, dt: float) -> Optional[np.ndarray]:
+    """Gaussian kernel giving a 20-80 % *rise_time*; None for ideal steps."""
+    if rise_time > 0.0:
+        return _gaussian_kernel((rise_time / GAUSSIAN_RISE_SIGMA_RATIO) / dt)
+    return None
+
+
+def _place_transitions(
+    index_float: np.ndarray,
+    levels: np.ndarray,
+    n_samples: int,
+    level_before: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The transitions at fractional sample *index_float* that land on
+    a record of *n_samples*: the sample each lands on, its offset from
+    it (in ``[-0.5, 0.5)``), its level, and the record's opening level.
+    """
+    nearest = np.floor(index_float + 0.5).astype(np.int64)
+    # In time order, transitions landing before the record form a
+    # prefix (the last one sets the opening level) and those past its
+    # last sample a suffix that never shows.
+    lo, hi = np.searchsorted(nearest, (0, n_samples))
+    if lo:
+        level_before = float(levels[lo - 1])
+    nearest = nearest[lo:hi]
+    return nearest, index_float[lo:hi] - nearest, levels[lo:hi], level_before
+
+
+def _render_window(
+    nearest: np.ndarray,
+    frac: np.ndarray,
+    levels: np.ndarray,
+    level_before: float,
+    window: Tuple[int, int],
+    span: Tuple[int, int],
+    kernel: Optional[np.ndarray],
+) -> np.ndarray:
+    """Samples ``span = [s0, s1)`` of a record, rendered over the
+    samples ``window = [w0, w1)`` from the level entering the window
+    and its transitions (arrays as :func:`_place_transitions` gives
+    them, ``w0 <= nearest < w1``).
+
+    A whole record is one window and its own span; a stream chunk's
+    window adds up to one kernel half-width on each side of its span,
+    so the edge-shaping filter sees the neighbours the record has.
+    """
+    (w0, w1), (s0, s1) = window, span
+    # A level holds from the sample after its transition's to the next
+    # transition's sample.  (Filling preallocated arrays beats
+    # concatenating short lists on every stream chunk.)
+    seg = np.empty(levels.size + 1)
+    seg[0], seg[1:] = level_before, levels
+    bounds = np.empty(levels.size + 2, dtype=np.int64)
+    bounds[0], bounds[1:-1], bounds[-1] = w0 - 1, nearest, w1 - 1
+    lengths = bounds[1:] - bounds[:-1]
+    values = seg.repeat(lengths)
+    prev = seg[:-1]
+    if np.count_nonzero(lengths[1:-1]) < nearest.size - 1:
+        # Colliding sample indices (UI < dt): the segment between two
+        # transitions on one sample is empty, and only the last of them
+        # places a step there, from the level of the one before it.
+        last = lengths[1:] != 0
+        last[-1] = True
+        nearest, frac, levels, prev = (
+            nearest[last], frac[last], levels[last], prev[last]
+        )
+    # Area-preserving placement: the sample whose +-dt/2 window contains
+    # the instant takes the window-average value, so the step's
+    # centroid, and hence the 50 % crossing after the (symmetric)
+    # edge-shaping filter, lands at the instant exactly.
+    values[nearest - w0] = prev + (0.5 - frac) * (levels - prev)
+    if kernel is None:
+        return values[s0 - w0 : s1 - w0]
+    half = kernel.size // 2
+    return _edge_padded_convolve(
+        values, kernel, half - (s0 - w0), half - (w1 - s1)
     )
-    return np.convolve(padded, kernel, mode="valid")
 
 
 def synthesize_nrz(
@@ -235,6 +281,7 @@ def synthesize_nrz(
     if lead_ui < 0:
         raise PatternError(f"lead_ui must be >= 0, got {lead_ui}")
     record_start = t0 - lead_ui * unit_interval
+    initial_bit_level = amplitude if int(initial_bit) == 1 else -amplitude
     duration = (len(np.asarray(bits)) + pad_ui + lead_ui) * unit_interval
     return render_transitions(
         times,
@@ -244,6 +291,8 @@ def synthesize_nrz(
         amplitude=amplitude,
         rise_time=rise_time,
         t0=record_start,
+        # With no edge the line holds initial_bit's level throughout.
+        initial_level=None if times.size else initial_bit_level,
     )
 
 
@@ -253,10 +302,12 @@ class NRZStreamSource:
     Renders the same record :func:`synthesize_nrz` would produce for the
     full bit sequence, but emits it as successive sample chunks, pulling
     bits lazily — so a billion-bit stimulus never exists as one array.
-    Each chunk is rendered over a guard-banded window (one Gaussian
-    half-width of context on each side) at the *global* sample indices,
-    so the emitted samples are sample-for-sample identical to the
-    monolithic record for any chunk size.
+    Each chunk goes through the renderer a whole record uses, over a
+    guard-banded window (one Gaussian half-width of context on each
+    side) at the *global* sample indices, so the emitted samples are
+    byte-identical to the monolithic record for any chunk size.  The
+    pending transitions are held as arrays, appended per pulled block
+    and retired by slicing.
 
     Parameters
     ----------
@@ -272,13 +323,6 @@ class NRZStreamSource:
         Samples per emitted chunk (the last chunk may be shorter).
     Remaining parameters match :func:`synthesize_nrz` (*edge_jitter* is
     not supported in streaming mode).
-
-    Notes
-    -----
-    One degenerate corner differs from the monolithic path: a pattern
-    with *no transitions at all* whose bits equal ``initial_bit == 1``
-    renders at ``+amplitude`` here but ``-amplitude`` monolithically
-    (the monolithic default inspects the never-taken first transition).
     """
 
     def __init__(
@@ -333,22 +377,16 @@ class NRZStreamSource:
         self.n_samples_total = int(round(duration / self.dt)) + 1
         if self.n_samples_total < 2:
             raise WaveformError("record must contain at least two samples")
-        if rise_time > 0.0:
-            sigma_samples = (rise_time / GAUSSIAN_RISE_SIGMA_RATIO) / dt
-            self._half_width = max(1, int(math.ceil(4.0 * sigma_samples)))
-            x = np.arange(
-                -self._half_width, self._half_width + 1, dtype=np.float64
-            )
-            kernel = np.exp(-0.5 * (x / sigma_samples) ** 2)
-            self._kernel = kernel / kernel.sum()
-        else:
-            self._half_width = 0
-            self._kernel = None
+        self._kernel = _edge_kernel(rise_time, dt)
+        self._half_width = 0 if self._kernel is None else self._kernel.size // 2
         self._prev_bit = int(initial_bit)
         self._bits_pulled = 0
-        # Pending transitions: (nearest sample index, fractional index,
-        # target level), in time order, not yet behind the render window.
-        self._transitions: list = []
+        # Pending transitions, in time order, not yet behind the render
+        # window: the sample each lands on, its offset from that sample
+        # and the level it moves to.
+        self._nearest = np.empty(0, dtype=np.int64)
+        self._frac = np.empty(0)
+        self._levels = np.empty(0)
         self._level_before = (
             self.amplitude if int(initial_bit) == 1 else -self.amplitude
         )
@@ -375,88 +413,26 @@ class NRZStreamSource:
                 raise PatternError(
                     f"bit source returned {block.size} bits, wanted {count}"
                 )
-            changes = np.flatnonzero(
-                block
-                != np.concatenate([[self._prev_bit], block[:-1]])
-            )
+            changes = np.flatnonzero(np.diff(block, prepend=self._prev_bit))
             if changes.size:
-                bit_indices = self._bits_pulled + changes
-                instants = (
-                    self.t_first_bit + bit_indices * self.unit_interval
-                )
-                index_float = (instants - self.record_start) / self.dt
-                nearest = np.floor(index_float + 0.5).astype(np.int64)
+                instants = self.t_first_bit + (
+                    self._bits_pulled + changes
+                ) * self.unit_interval
                 levels = np.where(
                     block[changes] == 1, self.amplitude, -self.amplitude
                 )
-                # Transitions land in bit order, so any that round to
-                # before the record form a prefix; the last one sets
-                # the level the record opens on.
-                before = np.flatnonzero(nearest < 0)
-                if before.size:
-                    self._level_before = float(levels[before[-1]])
-                keep = (nearest >= 0) & (nearest < self.n_samples_total)
-                self._transitions.extend(
-                    zip(
-                        nearest[keep].tolist(),
-                        index_float[keep].tolist(),
-                        levels[keep].tolist(),
-                    )
+                nearest, frac, levels, self._level_before = _place_transitions(
+                    (instants - self.record_start) / self.dt,
+                    levels,
+                    self.n_samples_total,
+                    self._level_before,
                 )
+                self._nearest = np.concatenate((self._nearest, nearest))
+                self._frac = np.concatenate((self._frac, frac))
+                self._levels = np.concatenate((self._levels, levels))
             if block.size:
                 self._prev_bit = int(block[-1])
             self._bits_pulled += count
-
-    # -- rendering ---------------------------------------------------------
-
-    def _render_window(self, w0: int, w1: int) -> np.ndarray:
-        """Piecewise levels over global samples ``[w0, w1)``, exactly as
-        :func:`render_transitions` computes them there."""
-        # Retire transitions fully behind the window: a transition at
-        # `nearest` drives every sample from nearest+1 on, so anything
-        # with nearest <= w0 - 1 collapses into the starting level.
-        keep = 0
-        for nearest, _, level in self._transitions:
-            if nearest <= w0 - 1:
-                self._level_before = level
-                keep += 1
-            else:
-                break
-        if keep:
-            del self._transitions[:keep]
-        n_in = 0
-        for nearest, _, _ in self._transitions:
-            if nearest >= w1:
-                break
-            n_in += 1
-        if n_in == 0:
-            return np.full(w1 - w0, self._level_before)
-        window = self._transitions[:n_in]
-        nearests = np.array([t[0] for t in window], dtype=np.int64)
-        fracs = np.array([t[1] for t in window]) - nearests
-        levels = np.array([t[2] for t in window])
-        if bool(np.all(np.diff(nearests) > 0)):
-            # The piecewise-constant fill as one np.repeat instead of a
-            # suffix assignment per transition (that scalar pass is
-            # O(transitions * window) — quadratic in the chunk size).
-            bounds = np.concatenate([[w0], nearests + 1, [w1]])
-            seg_levels = np.concatenate([[self._level_before], levels])
-            values = np.repeat(seg_levels, np.diff(bounds))
-            prev = seg_levels[:-1]
-            values[nearests - w0] = prev + (0.5 - fracs) * (levels - prev)
-            return values
-        # Colliding sample indices (UI < dt): later transitions must
-        # overwrite earlier ones in order, as render_transitions does.
-        values = np.full(w1 - w0, self._level_before)
-        current = self._level_before
-        for nearest, index_float, level in window:
-            delta = index_float - nearest
-            values[nearest - w0 + 1 :] = level
-            values[nearest - w0] = current + (0.5 - delta) * (
-                level - current
-            )
-            current = level
-        return values
 
     def __iter__(self) -> "NRZStreamSource":
         return self
@@ -470,17 +446,25 @@ class NRZStreamSource:
         w0 = max(0, s0 - half)
         w1 = min(self.n_samples_total, s1 + half)
         self._pull_bits_until(w1)
-        values = self._render_window(w0, w1)
-        if self._kernel is not None:
-            # The monolithic path edge-pads with the record's first and
-            # last sample; interior chunks use real neighbours instead,
-            # which is exactly what the monolithic convolution sees.
-            left = np.full(half - (s0 - w0), values[0])
-            right = np.full(half - (w1 - s1), values[-1])
-            padded = np.concatenate([left, values, right])
-            values = np.convolve(padded, self._kernel, mode="valid")
-        else:
-            values = values[s0 - w0 : s0 - w0 + (s1 - s0)]
+        # A transition drives every sample after the one it lands on, so
+        # those landing before the window collapse into its entry level.
+        gone = self._nearest.searchsorted(w0)
+        end = self._nearest.searchsorted(w1)
+        if gone:
+            self._level_before = float(self._levels[gone - 1])
+            self._nearest = self._nearest[gone:]
+            self._frac = self._frac[gone:]
+            self._levels = self._levels[gone:]
+            end -= gone
+        values = _render_window(
+            self._nearest[:end],
+            self._frac[:end],
+            self._levels[:end],
+            self._level_before,
+            (w0, w1),
+            (s0, s1),
+            self._kernel,
+        )
         self._emitted = s1
         return Waveform(
             values, self.dt, self.record_start + self.dt * s0

@@ -19,6 +19,7 @@ pass instead of N sequential ones.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, List, Sequence, Union
 
 import numpy as np
@@ -86,9 +87,9 @@ class Waveform:
             )
         if array.size == 0:
             raise WaveformError("waveform must contain at least one sample")
-        if not np.all(np.isfinite(array)):
+        if not np.isfinite(array).all():
             raise WaveformError("waveform contains non-finite samples")
-        if not (dt > 0.0 and np.isfinite(dt)):
+        if not (dt > 0.0 and math.isfinite(dt)):
             raise WaveformError(f"sample interval must be positive, got {dt}")
         self._values = array
         self._dt = float(dt)
@@ -398,14 +399,14 @@ class WaveformBatch:
                 f"batch needs at least one lane and one sample, got shape "
                 f"{array.shape}"
             )
-        if not np.all(np.isfinite(array)):
+        if not np.isfinite(array).all():
             raise WaveformError("batch contains non-finite samples")
-        if not (dt > 0.0 and np.isfinite(dt)):
+        if not (dt > 0.0 and math.isfinite(dt)):
             raise WaveformError(f"sample interval must be positive, got {dt}")
         origins = np.broadcast_to(
             np.asarray(t0, dtype=np.float64), (array.shape[0],)
         ).copy()
-        if not np.all(np.isfinite(origins)):
+        if not np.isfinite(origins).all():
             raise WaveformError("batch time origins must be finite")
         self._values = array
         self._dt = float(dt)

@@ -1,5 +1,7 @@
 """Tests for the linear filter blocks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,46 @@ class TestHighpass:
         assert steady.amplitude() == pytest.approx(1 / np.sqrt(2), rel=0.03)
 
 
+def _reference_convolve(values, kernel, half):
+    """Edge-padded ``valid`` convolution, written out as the byte
+    reference for the shared kernel and padding helpers."""
+    padded = np.concatenate(
+        [np.full(half, values[0]), values, np.full(half, values[-1])]
+    )
+    return np.convolve(padded, kernel, mode="valid")
+
+
+def _reference_gaussian(values, sigma_samples):
+    half_width = max(1, int(math.ceil(4.0 * sigma_samples)))
+    x = np.arange(-half_width, half_width + 1, dtype=np.float64)
+    kernel = np.exp(-0.5 * (x / sigma_samples) ** 2)
+    kernel /= kernel.sum()
+    return _reference_convolve(values, kernel, half_width)
+
+
 class TestGaussianAndBoxcar:
+    @pytest.mark.parametrize("n", (1, 2, 17, 1000))
+    @pytest.mark.parametrize("sigma", (0.2e-12, 1e-12, 7.7e-12, 40e-12))
+    def test_gaussian_bytes_pinned(self, n, sigma):
+        rng = np.random.default_rng(n)
+        wf = Waveform(rng.normal(0.0, 0.3, n), 1e-12, 2e-12)
+        out = gaussian_lowpass(wf, sigma)
+        reference = _reference_gaussian(wf.values, sigma / 1e-12)
+        assert out.values.tobytes() == reference.tobytes()
+        assert (out.dt, out.t0) == (wf.dt, wf.t0)
+
+    @pytest.mark.parametrize("n", (1, 2, 17, 1000))
+    @pytest.mark.parametrize("window_time", (2e-12, 5e-12, 13e-12, 60e-12))
+    def test_moving_average_bytes_pinned(self, n, window_time):
+        rng = np.random.default_rng(n)
+        wf = Waveform(rng.normal(0.0, 0.3, n), 1e-12, 2e-12)
+        out = moving_average(wf, window_time)
+        window = int(round(window_time / 1e-12)) | 1
+        reference = _reference_convolve(
+            wf.values, np.full(window, 1.0 / window), window // 2
+        )
+        assert out.values.tobytes() == reference.tobytes()
+
     def test_gaussian_preserves_crossing_position(self):
         step = synthesize_step(0.5e-12, rise_time=5e-12, step_time=0.3e-9)
         smoothed = gaussian_lowpass(step, 10e-12)

@@ -1,5 +1,7 @@
 """Tests for analog waveform synthesis (NRZ, clocks, steps)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.errors import PatternError, WaveformError
 from repro.signals import (
+    GAUSSIAN_RISE_SIGMA_RATIO,
+    NRZStreamSource,
     crossing_times,
     render_transitions,
     synthesize_clock,
@@ -15,6 +19,46 @@ from repro.signals import (
     synthesize_step,
     transition_times_from_bits,
 )
+
+
+def _reference_render(
+    times, targets, n_samples, dt, amplitude, rise_time, t0, initial_level
+):
+    """The renderer's per-transition loop, kept as the byte reference:
+    each transition fills every later sample and places its own step."""
+    levels = np.where(targets == 1, amplitude, -amplitude)
+    if initial_level is None:
+        initial_level = -levels[0] if levels.size else -amplitude
+    values = np.full(n_samples, float(initial_level))
+    current = float(initial_level)
+    for instant, level in zip(times, levels):
+        index_float = (instant - t0) / dt
+        nearest = int(math.floor(index_float + 0.5))
+        delta = index_float - nearest
+        if nearest >= n_samples:
+            break
+        if nearest < 0:
+            current = float(level)
+            values[:] = current
+            continue
+        values[nearest + 1 :] = level
+        values[nearest] = current + (0.5 - delta) * (level - current)
+        current = float(level)
+    if rise_time > 0.0:
+        sigma_samples = (rise_time / GAUSSIAN_RISE_SIGMA_RATIO) / dt
+        half_width = max(1, int(math.ceil(4.0 * sigma_samples)))
+        x = np.arange(-half_width, half_width + 1, dtype=np.float64)
+        kernel = np.exp(-0.5 * (x / sigma_samples) ** 2)
+        kernel /= kernel.sum()
+        padded = np.concatenate(
+            [
+                np.full(half_width, values[0]),
+                values,
+                np.full(half_width, values[-1]),
+            ]
+        )
+        values = np.convolve(padded, kernel, mode="valid")
+    return values
 
 
 class TestTransitionTimes:
@@ -109,10 +153,78 @@ class TestRenderTransitions:
         )
         assert np.all(wf.values == pytest.approx(0.4))
 
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("rise_time", (0.0, 7e-12, 60e-12))
+    def test_bytes_match_per_transition_loop(self, seed, rise_time):
+        # Random ascending instants, some repeated or sharing a sample,
+        # some before the record and some past its end.
+        rng = np.random.default_rng(seed)
+        dt = (1e-12, 4e-12, 25e-12)[seed % 3]
+        t0 = (0.0, 1.3e-12, -0.2e-9)[seed % 4 % 3]
+        times = rng.uniform(-0.3e-9, 1.3e-9, int(rng.integers(0, 60)))
+        times = np.concatenate(
+            [times, times[:5], times[5:10] + 0.2 * dt]
+        )
+        times.sort()
+        targets = rng.integers(0, 2, times.size)
+        initial = (None, 0.4, -0.1)[seed // 4 % 3]
+        n_samples = int(round(1e-9 / dt)) + 1
+        wf = render_transitions(
+            times,
+            targets,
+            duration=1e-9,
+            dt=dt,
+            amplitude=0.4,
+            rise_time=rise_time,
+            t0=t0,
+            initial_level=initial,
+        )
+        reference = _reference_render(
+            times, targets, n_samples, dt, 0.4, rise_time, t0, initial
+        )
+        assert wf.values.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("jitter_ui", (0.3, 3.0))
+    def test_jittered_record_bytes_match_per_transition_loop(
+        self, jitter_ui
+    ):
+        # Jitter of several UI reorders edges; the sorted instants still
+        # render exactly as the loop does.
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2, 200)
+        times, targets = transition_times_from_bits(bits, 1.0 / 6.4e9)
+        jitter = rng.normal(0.0, jitter_ui / 6.4e9, times.size)
+        wf = synthesize_nrz(bits, 6.4e9, 2e-12, edge_jitter=jitter)
+        order = np.argsort(times + jitter, kind="stable")
+        reference = _reference_render(
+            (times + jitter)[order],
+            targets[order],
+            len(wf),
+            2e-12,
+            0.4,
+            30e-12,
+            wf.t0,
+            None,
+        )
+        assert wf.values.tobytes() == reference.tobytes()
+
     def test_rejects_descending_times(self):
         with pytest.raises(WaveformError):
             render_transitions(
                 np.array([2e-10, 1e-10]),
+                np.array([1, 0]),
+                duration=1e-9,
+                dt=1e-12,
+                amplitude=0.4,
+                rise_time=0.0,
+            )
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_rejects_non_finite_times(self, bad):
+        # A non-finite instant has no sample to land on.
+        with pytest.raises(WaveformError):
+            render_transitions(
+                np.array([1e-10, bad]),
                 np.array([1, 0]),
                 duration=1e-9,
                 dt=1e-12,
@@ -169,6 +281,15 @@ class TestSynthesizeNrz:
     def test_rejects_bad_rate(self):
         with pytest.raises(PatternError):
             synthesize_nrz([0, 1], 0.0, 1e-12)
+
+    @pytest.mark.parametrize("initial_bit", (0, 1))
+    def test_edgeless_pattern_holds_initial_bit_level(self, initial_bit):
+        # Regression: an all-ones pattern after initial_bit=1 has no
+        # transition, and rendered at -amplitude instead of +amplitude.
+        bits = [initial_bit] * 4
+        wf = synthesize_nrz(bits, 6.4e9, 1e-11, initial_bit=initial_bit)
+        level = 0.4 if initial_bit else -0.4
+        np.testing.assert_allclose(wf.values, level, rtol=1e-12)
 
     def test_rejects_negative_lead(self):
         with pytest.raises(PatternError):
@@ -244,8 +365,6 @@ class TestNRZStreamSource:
     BIT_RATE = 1e9
 
     def _source(self, bits, chunk_samples, **kwargs):
-        from repro.signals import NRZStreamSource
-
         return NRZStreamSource(
             bits, self.BIT_RATE, 10e-12, chunk_samples, **kwargs
         )
@@ -254,18 +373,44 @@ class TestNRZStreamSource:
         chunks = list(source)
         return chunks, np.concatenate([c.values for c in chunks])
 
-    @pytest.mark.parametrize("chunk_samples", (1, 7, 100, 4096, 10**9))
-    def test_sample_exact_against_monolithic(self, chunk_samples):
+    @pytest.mark.parametrize(
+        "chunk_samples, bit_rate, dt, rise_time",
+        [
+            pytest.param(chunk, *geometry, id=f"{name}{chunk}")
+            for name, geometry in (
+                ("", (1e9, 10e-12, 30e-12)),  # Gaussian half-width 8
+                ("ui<dt-", (40e9, 60e-12, 30e-12)),  # colliding indices
+                ("wide-kernel-", (1e9, 10e-12, 300e-12)),  # half-width 72
+                ("rise0-", (1e9, 10e-12, 0.0)),  # no guard band
+            )
+            for chunk in (1, 7, 100, 4096, 10**9)
+        ],
+    )
+    def test_sample_exact_against_monolithic(
+        self, chunk_samples, bit_rate, dt, rise_time
+    ):
         from repro.signals import prbs_sequence
 
         bits = prbs_sequence(7, 127)
-        mono = synthesize_nrz(bits, self.BIT_RATE, 10e-12)
-        source = self._source(bits, chunk_samples)
+        mono = synthesize_nrz(bits, bit_rate, dt, rise_time=rise_time)
+        source = NRZStreamSource(
+            bits, bit_rate, dt, chunk_samples, rise_time=rise_time
+        )
         chunks, values = self._drain(source)
         assert values.size == len(mono)
-        np.testing.assert_array_equal(values, mono.values)
+        assert values.tobytes() == mono.values.tobytes()
         assert chunks[0].t0 == mono.t0
         assert source.n_samples_total == len(mono)
+
+    @pytest.mark.parametrize("chunk_samples", (1, 3, 64))
+    def test_edgeless_pattern_matches_monolithic(self, chunk_samples):
+        mono = synthesize_nrz([1, 1, 1, 1], 6.4e9, 1e-11, initial_bit=1)
+        _, values = self._drain(
+            NRZStreamSource(
+                [1, 1, 1, 1], 6.4e9, 1e-11, chunk_samples, initial_bit=1
+            )
+        )
+        assert values.tobytes() == mono.values.tobytes()
 
     def test_chunk_time_axes_are_contiguous(self):
         bits = [0, 1, 1, 0, 1, 0, 0, 1]
