@@ -7,7 +7,7 @@ the edge-matched delay measurement.
 
 The hot loops dispatch through :mod:`repro.kernels`, so the kernel
 benchmarks are parametrised over both backends (``python`` reference
-and ``numpy`` event-vectorised).  Compare with::
+and ``numpy`` array-vectorised).  Compare with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_micro_performance.py \
         --benchmark-group-by=func
@@ -26,6 +26,7 @@ from repro.analysis import measure_delay
 from repro.ate import DeskewController, ParallelBus
 from repro.circuits import VariableGainBuffer
 from repro.core import FineDelayLine, calibrate_fine_delay, calibration_stimulus
+from repro.kernels import numpy_backend, python_backend
 from repro.signals import prbs_sequence, synthesize_nrz
 
 BACKENDS = kernels.BACKEND_NAMES
@@ -46,12 +47,16 @@ def backend(request):
 def test_perf_slew_limit(benchmark, backend):
     target = np.sin(np.linspace(0, 300.0, 50_000)) * 0.4
     benchmark.extra_info["kernel_backend"] = backend
-    # The backend's standalone slew loop: the reference recurrence on
-    # python; on numpy the event walk, which cascade stages run only
-    # for lanes whose ramps outlast the relaxation's sweep cap.
-    slew_limit = kernels.get_backend().slew_limit
-    result = benchmark(slew_limit, target, 0.05, float(target[0]))
-    assert len(result) == len(target)
+    # The backend's slew step on one lane, as the cascade runs it: the
+    # reference recurrence on python, the frontier relaxation on numpy.
+    if backend == "numpy":
+        slew = numpy_backend._slew_limit_relax
+        args = (target[None, :], 0.05, target[:1])
+    else:
+        slew = python_backend.slew_limit
+        args = (target, 0.05, float(target[0]))
+    result = benchmark(slew, *args)
+    assert result.size == target.size
 
 
 def test_perf_buffer_stage(benchmark, backend, stimulus):

@@ -10,9 +10,9 @@ per point (see :func:`repro.campaign.runner.evaluate_pack`), which is
 where the batched numpy backend earns its keep.
 
 Packing is a pure scheduling transform: every lane keeps its own
-per-point seed stream, so packed metrics are bit-for-bit identical to
-scalar evaluation on the python kernel backend and within the 0.01 ps
-delay contract on the vectorised backends.  Points that cannot pack —
+per-point seed stream, so packed metrics are byte-identical to scalar
+evaluation on either kernel backend (and the two backends agree byte
+for byte, see :mod:`repro.kernels`).  Points that cannot pack —
 scenarios that never pack (deskew), structural mismatches, leftovers —
 run alone as packs of one, never as an error.
 """

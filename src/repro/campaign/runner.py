@@ -145,8 +145,8 @@ def _evaluate_range(points: Sequence[CampaignPoint]) -> List[dict]:
     draws; phase B runs all calibrations as one fused sweep
     (:func:`repro.core.combined.calibrate_lines_pack`); phase C renders
     every lane's mid-delay PRBS run as one fused pass.  Lane ``i``'s
-    metrics are those of ``points[i]`` evaluated alone — bit-exactly on
-    the python kernel backend.
+    metrics are those of ``points[i]`` evaluated alone, byte for byte on
+    either kernel backend.
     """
     resolved = [_resolve_params(p, _RANGE_DEFAULTS) for p in points]
     lines: List[CombinedDelayLine] = []
@@ -356,12 +356,12 @@ def evaluate_pack(points: Sequence[CampaignPoint]) -> List[dict]:
     Deterministic: each result is a pure function of its point's
     identity (the point's seed derives from it), so any worker, any
     schedule, any ``--jobs`` width and any pack width produce the same
-    metrics — bit-for-bit on the python kernel backend, within the
-    kernel layer's 0.01 ps delay contract elsewhere; the pack merely
-    fuses the kernel work.  A multi-point pack whose fused evaluation
-    fails is retried one point at a time; a point that then still
-    fails raises :class:`PackPointFailure` naming the lane, so
-    schedulers can attribute the failure.
+    metrics, byte for byte on either kernel backend (see
+    :mod:`repro.kernels`); the pack merely fuses the kernel work.  A
+    multi-point pack whose fused evaluation fails is retried one point
+    at a time; a point that then still fails raises
+    :class:`PackPointFailure` naming the lane, so schedulers can
+    attribute the failure.
     """
     points = list(points)
     if not points:

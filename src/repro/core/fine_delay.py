@@ -158,9 +158,9 @@ class FineDelayLine(CircuitElement):
         Returns a :class:`~repro.core.streaming.StreamProcessor`; push
         successive contiguous chunks of one long record and receive the
         corresponding output chunks in bounded memory.  With
-        *prime* equal to the concatenated chunks the streamed output is
-        bit-exact against :meth:`process` on the python kernel backend
-        (and within the 0.01 ps delay contract on numpy);
+        *prime* equal to the concatenated chunks the streamed output
+        reproduces :meth:`process`, with the same bytes on either kernel
+        backend (the contract is in :mod:`repro.core.streaming`);
         ``prime=None`` freezes the whole-record statistics from the
         first chunk instead.  ``rng=None`` uses the stages' private
         generators — the same streams :meth:`process` consumes.

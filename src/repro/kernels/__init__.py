@@ -8,14 +8,30 @@ measurement, and the comparator walk of the hysteresis edge extractor
 backends:
 
 ``python``
-    The original interpreted loops, kept as the bit-exact semantic
-    reference (~50 ns/sample for the slew limiters).
+    The original interpreted loops, kept as the semantic reference
+    (~50 ns/sample for the slew limiters).
 ``numpy``
     Array versions: frontier relaxation for the slew limiters (every
     lane of a call at once, lane results independent of the call),
-    full vectorisation for the measurement kernels.  Agrees with the
-    reference to floating-point rounding (delay impact far below
-    0.01 ps).
+    full vectorisation for the measurement kernels.
+
+**The kernel contract: python and numpy give the same bytes** — for
+every kernel, and so for whole records, packs and streams at any chunk
+size.  Both backends compute the compressive slew recurrence with the
+same float64 operations in the same order: a comparator flip's
+half-cycle age is ``samples since the last flip * dt``, plus the
+carried age for a lane's first segment of a call; every flip's
+compression scale comes from one helper
+(:func:`repro.kernels.cascade._flip_scale`); and numpy's relaxation
+converges to the reference slew loop bit for bit, the loop itself
+finishing any lane still ramping at the sweep cap.  No tolerance
+separates the backends (``tests/kernels/test_byte_contract.py``).
+
+Chunking is a separate question from the backend: a stream carries the
+half-cycle age across each chunk boundary as a float, so a streamed
+record reproduces the whole record byte for byte only where that
+rounding leaves every flip scale's bits alone (see
+:mod:`repro.core.streaming`).
 
 Select with the ``REPRO_KERNELS`` environment variable or
 :func:`set_backend` / :func:`use_backend`; the default (``auto``) is
@@ -32,8 +48,9 @@ of it: :func:`fine_delay_cascade` (one whole record, fresh state),
 :func:`fine_delay_cascade_stream` (one chunk, carried state) and
 :func:`fine_delay_cascade_batch` (lanes of a batch, fresh state).
 Each records its own op counters.  There is no per-stage slew-limiter
-op: the backends' slew loops (``slew_limit``, and the python
-``compressive_slew_limit_carry``) are internals of the cascade.
+op: the reference slew loops (``slew_limit``, which numpy shares, and
+the python ``compressive_slew_limit_carry``) are internals of the
+cascade.
 """
 
 from __future__ import annotations

@@ -21,15 +21,16 @@ This module holds what the two backends and the plan builder share:
   per-stage, per-lane carry of the kernel;
 * :func:`typical_crossing_interval` — the compression-state seeding
   helper, moved here from ``repro.circuits.vga_buffer`` so backends can
-  use it without importing the circuit layer.
+  use it without importing the circuit layer;
+* :func:`_flip_scale` — the compression scale a comparator flip sets,
+  the one expression both backends evaluate it with.
 
 Every standalone limiting-buffer stage (output driver, fanout leg, mux
 driver, one variable-gain stage) is a one-stage plan on the same
 kernel, so the per-stage chain of ``process`` calls is a chain of
-one-stage kernel calls.  Equivalence contract (asserted by
-``tests/kernels/test_fusion.py`` against that chain): fused output is
-**bit-exact** against the per-stage chain on the python backend, and
-within 0.01 ps of measured delay on numpy.
+one-stage kernel calls.  Fused output is byte-identical to that chain
+on both backends (``tests/kernels/test_fusion.py``), under the one
+kernel contract stated in :mod:`repro.kernels`.
 """
 
 from __future__ import annotations
@@ -211,3 +212,14 @@ def typical_crossing_interval(v_in: np.ndarray, dt: float) -> float:
         median = (float(middle[half - 1]) + float(middle[half])) / 2.0
     return median * dt
 
+
+def _flip_scale(ratio: np.ndarray, order: int) -> np.ndarray:
+    """Compression scale ``1 / (1 + ratio ** order)`` of each flip.
+
+    *ratio* is ``1 / (2 corner)`` over the half-cycle that ended at the
+    flip.  Both backends evaluate every flip's scale here, numpy on all
+    flips of a call at once and the python loop on a one-element array
+    per flip, so they share ``np.power`` (Python-float ``**`` can
+    differ from it in the last bit).
+    """
+    return 1.0 / (1.0 + np.power(ratio, order))

@@ -1,12 +1,12 @@
 """NumPy-vectorised kernels.
 
 Same algebra as the reference loops in
-:mod:`repro.kernels.python_backend`, evaluated with array operations.
-Where the evaluation order differs (e.g. per-flip compression scales
-use ``np.power`` and half-cycle ages ``(n - last_flip) * dt``), results
-agree with the reference to floating-point rounding, not bit-exactly;
-the property tests bound the disagreement far below a femtosecond of
-delay-measurement impact.
+:mod:`repro.kernels.python_backend`, evaluated with array operations,
+and the same bytes (the contract is stated in :mod:`repro.kernels`):
+the half-cycle age at a flip is ``samples since the last flip * dt``
+(plus the incoming age for a lane's first segment) and every flip's
+compression scale comes from :func:`~repro.kernels.cascade._flip_scale`,
+in both backends.
 
 The fused cascade is one kernel, :func:`fine_delay_cascade`, over a
 ``(lanes, samples)`` record with per-lane carried state; every
@@ -17,21 +17,13 @@ frontier relaxation, whatever the lane count: one dense Jacobi sweep
 over the whole record, then sweeps over only the samples whose
 predecessor changed, so the cost tracks the ramping samples and the
 sweeps are array operations shared by every lane.  The result is the
-sequential recurrence bit for bit on every lane that settles within
-the sweep cap, and lanes never interact, so a lane's output does not
-depend on the call it rides in.  The kernel writes its element-wise
-steps in place into full-length scratch arrays kept with the carry
-states, never into its inputs, so a stream's chunks reuse them.
-
-A lane whose ramp outlasts the sweep cap falls back to the event walk
-:func:`slew_limit`.  A slew limiter is always in one of two regimes —
-**tracking** (output equals the target, until a step larger than
-``max_step`` occurs) or **ramping** (output moves at exactly
-``±max_step`` per sample until it catches the target) — and the walk
-emits each run of one regime with one array operation, so its
-Python-level loop runs once per edge instead of once per sample.  Its
-ramps are ``y0 + k * step`` rather than ``k`` repeated additions, so it
-agrees with the recurrence to rounding.
+sequential recurrence bit for bit, and lanes never interact, so a
+lane's output does not depend on the call it rides in.  A lane whose
+ramp outlasts the sweep cap is finished by the reference loop
+:func:`~repro.kernels.python_backend.slew_limit`.  The kernel writes
+its element-wise steps in place into full-length scratch arrays kept
+with the carry states, never into its inputs, so a stream's chunks
+reuse them.
 """
 
 from __future__ import annotations
@@ -39,7 +31,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import signal as _scipy_signal
 
-from .cascade import CascadeStageState
+from .cascade import CascadeStageState, _flip_scale
+from .python_backend import slew_limit
 
 __all__ = [
     "slew_limit",
@@ -48,95 +41,6 @@ __all__ = [
     "nearest_edge_margin",
     "fine_delay_cascade",
 ]
-
-
-def _first_at_most(arr: np.ndarray, start: int, bound: float) -> int:
-    """First index ``>= start`` with ``arr[i] <= bound`` (galloping scan)."""
-    n = arr.size
-    window = 32
-    lo = start
-    while lo < n:
-        hi = min(n, lo + window)
-        hits = arr[lo:hi] <= bound
-        j = int(np.argmax(hits))
-        if hits[j]:
-            return lo + j
-        lo = hi
-        window *= 2
-    return n
-
-
-def _first_at_least(arr: np.ndarray, start: int, bound: float) -> int:
-    """First index ``>= start`` with ``arr[i] >= bound`` (galloping scan)."""
-    n = arr.size
-    window = 32
-    lo = start
-    while lo < n:
-        hi = min(n, lo + window)
-        hits = arr[lo:hi] >= bound
-        j = int(np.argmax(hits))
-        if hits[j]:
-            return lo + j
-        lo = hi
-        window *= 2
-    return n
-
-
-def slew_limit(
-    values: np.ndarray, max_step: float, initial: float
-) -> np.ndarray:
-    """Event-vectorised slew limiter (exact regime decomposition).
-
-    While ramping up from level ``y0`` at sample ``i0``, the output is
-    ``y0 + (m - i0 + 1) * max_step`` and the ramp continues at sample
-    ``m`` as long as ``v[m] - y[m-1] > max_step``, i.e. as long as
-    ``v[m] - m * max_step > y0 - (i0 - 1) * max_step`` — a constant
-    bound on a precomputed array, found by a galloping scan.  Tracking
-    runs end at the next target step exceeding ``max_step``
-    (precomputed once).  Both regime transitions advance the cursor by
-    at least one sample, so the walk terminates in O(events).
-    """
-    n = len(values)
-    out = np.empty(n)
-    if n == 0:
-        return out
-    v = values
-    y = initial
-    index = np.arange(n)
-    ramp_up_key = v - index * max_step
-    ramp_dn_key = v + index * max_step
-    # Sample pairs across which tracking cannot continue.
-    break_after = np.flatnonzero(np.abs(np.diff(v)) > max_step)
-    i = 0
-    while i < n:
-        dv = v[i] - y
-        if dv > max_step:
-            bound = y + (1 - i) * max_step
-            # max() guards the FP boundary case dv ~ max_step, where the
-            # scan can resolve the first sample differently than the
-            # sequential reference; one clamped step is then identical.
-            end = max(_first_at_most(ramp_up_key, i, bound), i + 1)
-            steps = np.arange(1, end - i + 1, dtype=np.float64)
-            out[i:end] = y + steps * max_step
-            y = out[end - 1]
-            i = end
-        elif dv < -max_step:
-            bound = y + (i - 1) * max_step
-            end = max(_first_at_least(ramp_dn_key, i, bound), i + 1)
-            steps = np.arange(1, end - i + 1, dtype=np.float64)
-            out[i:end] = y - steps * max_step
-            y = out[end - 1]
-            i = end
-        else:
-            position = np.searchsorted(break_after, i)
-            if position == len(break_after):
-                end = n
-            else:
-                end = int(break_after[position]) + 1
-            out[i:end] = v[i:end]
-            y = out[end - 1]
-            i = end
-    return out
 
 
 def match_edges(
@@ -219,7 +123,7 @@ def hysteresis_crossings(
 #: Relaxation sweep cap.  A sweep propagates the recurrence one sample,
 #: so convergence needs as many sweeps as the longest clamped (ramping)
 #: run; simulator edges span tens of samples.  Lanes that have not
-#: settled by the cap fall back to the exact per-lane event walk.
+#: settled by the cap are finished by the reference loop.
 _RELAX_MAX_SWEEPS = 192
 
 
@@ -248,8 +152,10 @@ def _slew_limit_relax(
     result does not depend on the batch it rides in.
 
     Lanes that still have a frontier after ``_RELAX_MAX_SWEEPS`` sweeps
-    (a ramp longer than the cap) are redone by the exact event walk
-    :func:`slew_limit`, which agrees with the recurrence to rounding.
+    (a ramp longer than the cap) are redone by the reference loop
+    :func:`slew_limit`, which is the fixed point the sweeps converge
+    to.  A changed sample at the end of its lane has no successor, so
+    it ends the lane's frontier rather than sending the lane there.
 
     *max_step* is a shared float or a per-lane array (pack plans carry
     per-instance slew rates).  *out* and *delta*, when given, are
@@ -280,10 +186,12 @@ def _slew_limit_relax(
     flat_out = out.reshape(-1)
     out_bits = flat_out.view(np.int64)
     moved = np.flatnonzero(out_bits != flat_targets.view(np.int64))
-    for _ in range(1, min(n, _RELAX_MAX_SWEEPS)):
-        if moved.size == 0:
-            break
+    for sweep in range(1, _RELAX_MAX_SWEEPS + 1):
+        # After *sweep* sweeps the frontier is the successors, in their
+        # own lanes, of the samples the last sweep moved.
         index = moved[moved % n != n - 1] + 1
+        if index.size == 0 or sweep == _RELAX_MAX_SWEEPS:
+            break
         # Gather every predecessor before scattering (Jacobi order).
         before = flat_out[index - 1]
         update = np.subtract(flat_targets[index], before)
@@ -296,7 +204,7 @@ def _slew_limit_relax(
         changed = update.view(np.int64) != out_bits[index]
         moved = index[changed]
         flat_out[moved] = update[changed]
-    for lane in np.unique(moved // n):
+    for lane in np.unique(index // n):
         lane_step = step if lane_steps is None else float(lane_steps[lane])
         out[lane] = slew_limit(targets[lane], lane_step, float(initials[lane]))
     return out
@@ -390,14 +298,14 @@ def _compressive_target(
     # Each segment's age at its end: its length, plus, for a lead
     # segment, the incoming half-cycle age.  A flip's interval is the
     # age of the segment before it; the outgoing age is that of the
-    # lane's last segment — ``(n - last_flip) * dt`` rather than the
-    # reference loop's repeated ``+= dt`` (equal up to float rounding).
+    # lane's last segment, ``(n - last_flip) * dt``.
     ages = seg_lengths * dt
     ages[starts] += elapsed_in
     seg_values = np.empty(flips.size + n_lanes)
     seg_values[starts] = scale_in
-    elapsed = ages[:-1][is_flip[1:]]
-    seg_values[is_flip] = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
+    seg_values[is_flip] = _flip_scale(
+        inv_2corner / ages[:-1][is_flip[1:]], order
+    )
     # The target ``floor + scale * extra`` is built in the repeat's own
     # output, the one full-length array this function allocates.
     target = np.repeat(seg_values, seg_lengths).reshape(n_lanes, n)
@@ -441,10 +349,8 @@ def fine_delay_cascade(
     Every stage slews all its lanes with one frontier relaxation
     (:func:`_slew_limit_relax`), however many lanes the call has, and
     lanes never interact, so a lane's output is byte-identical whether
-    it runs alone or inside a multi-lane call.  Chunked runs agree with
-    one whole-record call to floating-point rounding (within the
-    0.01 ps delay contract): the carried half-cycle age is
-    ``(n - last_flip) * dt``, not a running sum.
+    it runs alone or inside a multi-lane call, and every byte is the
+    python reference's (see :mod:`repro.kernels`).
     """
     if not stages:
         return values.copy()

@@ -1,9 +1,9 @@
 """Pure-Python reference implementations of the hot-loop kernels.
 
 These loops are the *semantic reference* for the kernel layer: the
-vectorised numpy backend must reproduce them within a documented
-tolerance (same algebra, different evaluation order).  Keep them
-simple and obviously correct; speed is the numpy backend's job.
+vectorised numpy backend reproduces them byte for byte (the contract
+is stated in :mod:`repro.kernels`).  Keep them simple and obviously
+correct; speed is the numpy backend's job.
 
 All functions receive pre-validated, contiguous ``float64`` arrays and
 plain Python scalars (the dispatch wrappers in
@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 from scipy import signal as _scipy_signal
+
+from .cascade import _flip_scale
 
 __all__ = [
     "slew_limit",
@@ -73,9 +75,16 @@ def compressive_slew_limit_carry(
     as if the signal had been toggling at its own rate
     (*initial_interval*) forever.  When True, (*comp_state*,
     *elapsed*, *scale*, *y*) continue the loop where the previous chunk
-    stopped, so running the chunks of a split record through this
-    kernel is bit-exact against one unprimed call over the whole
-    record.
+    stopped.
+
+    The half-cycle age at a flip is ``count * dt``, *count* being the
+    samples since the last flip, plus the incoming *elapsed* while the
+    chunk has not flipped yet; each flip's scale comes from
+    :func:`~repro.kernels.cascade._flip_scale`.  That is the numpy
+    kernel's arithmetic, so the two backends give the same bytes.  A
+    chunk boundary rounds the carried age once more than a whole
+    record does, so a split record matches the whole one unless that
+    rounding reaches a flip scale's last bit.
 
     Returns ``(out, comp_state, elapsed, scale, y)``.
     """
@@ -91,20 +100,17 @@ def compressive_slew_limit_carry(
         scale = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
         y = float(floor_list[0]) + scale * float(extra_list[0])
     state = comp_state
+    last_flip = 0
     up = max_step
     down = -max_step
     for i in range(n):
         v = v_list[i]
-        if state > 0:
-            if v < -hysteresis:
-                state = -1
-                scale = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
-                elapsed = 0.0
-        elif v > hysteresis:
-            state = 1
-            scale = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
+        if (v < -hysteresis) if state > 0 else (v > hysteresis):
+            state = -state
+            age = (i - last_flip) * dt + elapsed
+            scale = _flip_scale(np.array([inv_2corner / age]), order).item()
+            last_flip = i
             elapsed = 0.0
-        elapsed += dt
         dv = floor_list[i] + scale * extra_list[i] - y
         if dv > up:
             dv = up
@@ -112,7 +118,7 @@ def compressive_slew_limit_carry(
             dv = down
         y += dv
         out[i] = y
-    return out, state, elapsed, scale, y
+    return out, state, (n - last_flip) * dt + elapsed, scale, y
 
 
 def match_edges(
@@ -267,10 +273,9 @@ def fine_delay_cascade(
     across the chunk boundary.  Lanes run one by one through the
     reference loops, so one call on unprimed states is **bit-exact**
     against the chain of one-stage calls on each lane (and each lane
-    against its own one-lane call), and chunked calls are bit-exact
-    against one whole-record call whenever the frozen statistics match
-    (see ``repro.core.streaming`` for how the priming pass arranges
-    that).
+    against its own one-lane call), and chunked calls reproduce one
+    whole-record call whenever the frozen statistics match, up to the
+    carried half-cycle ages' rounding (see ``repro.core.streaming``).
     """
     n_lanes = values.shape[0]
     x = values

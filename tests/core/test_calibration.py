@@ -291,12 +291,8 @@ class TestBatchedSweep:
             batch=False,
         )
         np.testing.assert_array_equal(batched.vctrls, sequential.vctrls)
-        # The numpy backend's batched limiter agrees with the
-        # sequential walk to floating-point rounding; the measured
-        # delays must match far inside the 0.01 ps delay contract.
-        np.testing.assert_allclose(
-            batched.delays, sequential.delays, rtol=0.0, atol=1e-14
-        )
+        # A lane's bytes do not depend on the call it rides in.
+        np.testing.assert_array_equal(batched.delays, sequential.delays)
 
     def test_batch_bit_exact_on_python_backend(self):
         from repro.kernels import use_backend
