@@ -3,8 +3,8 @@
 Two claims are measured on a compute-bound campaign spec:
 
 * sharding across 2 spawned workers beats 1 worker by >= 1.8x
-  wall-clock (the scheduler keeps both busy and the tail is
-  rebalanced by work stealing) — asserted only on multi-core hosts,
+  wall-clock (the scheduler tops each worker up as results stream
+  back, so both stay busy) — asserted only on multi-core hosts,
   recorded everywhere;
 * the sharded results are byte-identical to the single-worker run
   (per-point identity seeding makes the schedule invisible).

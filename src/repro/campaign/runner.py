@@ -622,17 +622,13 @@ def run_campaign(
                 for unit in units
                 if len(unit) > 1
             ]
-            # Keyword passed only when packing actually grouped lanes:
-            # a scalar campaign drives the pool with the pre-packing
-            # call shape.
-            pack_kwargs = {"packs": packs} if packs else {}
             with WorkerPool(workers) as pool:
                 try:
                     pool.run(
                         pending,
                         collect=instrument.enabled(),
                         on_result=settle,
-                        **pack_kwargs,
+                        packs=packs,
                     )
                 except PointFailure as exc:
                     raise failed(exc.point, exc) from exc

@@ -48,15 +48,10 @@ bytes on both kernel backends (the kernel contract of
 :mod:`repro.kernels`), and a fresh stream fed the whole record as one
 chunk is byte-identical to the monolithic path.  With a priming record
 equal to the concatenated chunks, a streamed :class:`FineDelayLine`
-run reproduces the monolithic path for any split, byte for byte
-unless a chunk boundary moves a compression scale's last bit: the
-half-cycle age carried across a boundary is ``count * dt`` rounded
-once per chunk, where the whole record rounds it once per half-cycle.
-The tested records and splits, one-sample chunks included, match byte
-for byte.  Over random 1-4-stage lines and 0.4k-30k-sample records,
-splits into at most a dozen chunks differed in 1 run of 150, and
-splits into hundreds to thousands of chunks in 113 runs of 300, by at
-most 4e-15 V.
+run reproduces the monolithic path byte for byte for any split,
+one-sample chunks included: each lane's half-cycle age crosses a chunk
+boundary as an integer sample count plus the seed lead, so it rounds
+exactly as in the whole record.
 
 Whole-record statistics and priming
 -----------------------------------

@@ -19,19 +19,15 @@ backends:
 every kernel, and so for whole records, packs and streams at any chunk
 size.  Both backends compute the compressive slew recurrence with the
 same float64 operations in the same order: a comparator flip's
-half-cycle age is ``samples since the last flip * dt``, plus the
-carried age for a lane's first segment of a call; every flip's
-compression scale comes from one helper
-(:func:`repro.kernels.cascade._flip_scale`); and numpy's relaxation
-converges to the reference slew loop bit for bit, the loop itself
-finishing any lane still ramping at the sweep cap.  No tolerance
-separates the backends (``tests/kernels/test_byte_contract.py``).
-
-Chunking is a separate question from the backend: a stream carries the
-half-cycle age across each chunk boundary as a float, so a streamed
-record reproduces the whole record byte for byte only where that
-rounding leaves every flip scale's bits alone (see
-:mod:`repro.core.streaming`).
+half-cycle age is ``samples since the last flip * dt``, plus the seed
+interval before a lane's first flip, and a stream carries that sample
+count across chunk boundaries as an integer, so a split record rounds
+every age as the whole one does; every flip's compression scale comes
+from one helper (:func:`repro.kernels.cascade._flip_scale`); and numpy's
+relaxation converges to the reference slew loop bit for bit, the loop
+itself finishing any lane still ramping at the sweep cap.  No tolerance
+separates the backends or a stream from its whole record
+(``tests/kernels/test_byte_contract.py``).
 
 Select with the ``REPRO_KERNELS`` environment variable or
 :func:`set_backend` / :func:`use_backend`; the default (``auto``) is

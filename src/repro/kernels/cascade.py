@@ -127,9 +127,16 @@ class CascadeStageState:
       interval of each lane).  A stream cannot see the full record, so
       they are frozen once — by a priming pass, or from the first
       chunk — and reused for every subsequent chunk.
-    * **Dynamic recurrence state** (``comp_state``, ``elapsed``,
-      ``scale``, ``slew_y``, ``filter_zi``): written at the bottom of
-      each kernel call and read at the top of the next.
+    * **Dynamic recurrence state** (``comp_state``, ``count``,
+      ``elapsed``, ``scale``, ``slew_y``, ``filter_zi``): written at
+      the bottom of each kernel call and read at the top of the next.
+      A lane's half-cycle age is ``count * dt + elapsed``: ``count``
+      is the integer number of samples since its last comparator flip
+      (or since the record began) and ``elapsed`` is the seed interval
+      until the lane's first flip, 0.0 after it.  Carrying the count,
+      not the product, rounds the age once per half-cycle however the
+      record is split, so a stream matches the whole record byte for
+      byte.
 
     ``primed`` distinguishes a fresh state (the kernel seeds every
     lane's recurrences from this chunk's first sample) from a carried
@@ -145,6 +152,7 @@ class CascadeStageState:
     hysteresis: Optional[np.ndarray] = None
     initial_interval: Optional[np.ndarray] = None
     comp_state: Optional[np.ndarray] = None  # +1/-1 comparator state
+    count: Optional[np.ndarray] = None  # int64 samples since last flip
     elapsed: Optional[np.ndarray] = None
     scale: Optional[np.ndarray] = None
     slew_y: Optional[np.ndarray] = None

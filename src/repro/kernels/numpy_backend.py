@@ -4,7 +4,8 @@ Same algebra as the reference loops in
 :mod:`repro.kernels.python_backend`, evaluated with array operations,
 and the same bytes (the contract is stated in :mod:`repro.kernels`):
 the half-cycle age at a flip is ``samples since the last flip * dt``
-(plus the incoming age for a lane's first segment) and every flip's
+(the count carried across chunks as an integer, plus the seed interval
+before a lane's first flip) and every flip's
 compression scale comes from :func:`~repro.kernels.cascade._flip_scale`,
 in both backends.
 
@@ -233,9 +234,9 @@ def _compressive_target(
     ``initial_interval``, as if the signal had been toggling at its own
     rate forever; a primed one starts from the carried comparator
     state, times each lane's first flip from the carried half-cycle
-    age, and holds the carried scale until that flip.  The outgoing
-    comparator state, half-cycle age and scale are written back to
-    *carry*.
+    age (integer sample count plus seed lead), and holds the carried
+    scale until that flip.  The outgoing comparator state, half-cycle
+    age and scale are written back to *carry*.
 
     Returns ``(target, y_start)``: the slew target and each lane's
     initial tracker level (the carried ``slew_y`` when primed).
@@ -243,10 +244,11 @@ def _compressive_target(
     n_lanes, n = v_in.shape
     inv_2corner = 1.0 / (2.0 * corner)
     if carry.primed:
-        elapsed_in, scale_in = carry.elapsed, carry.scale
+        count_in, elapsed_in = carry.count, carry.elapsed
+        scale_in = carry.scale
         comp_state = carry.comp_state
     else:
-        elapsed_in = carry.initial_interval
+        count_in, elapsed_in = 0, carry.initial_interval
         # The seed uses Python-float ``**`` per lane, as the reference
         # loop does: ``np.power`` can differ from it in the last bit.
         scale_in = np.array(
@@ -295,11 +297,14 @@ def _compressive_target(
     seg_begin[:-1][is_flip] = flips
     seg_begin[-1] = n_lanes * n
     seg_lengths = seg_begin[1:] - seg_begin[:-1]
-    # Each segment's age at its end: its length, plus, for a lead
-    # segment, the incoming half-cycle age.  A flip's interval is the
-    # age of the segment before it; the outgoing age is that of the
-    # lane's last segment, ``(n - last_flip) * dt``.
-    ages = seg_lengths * dt
+    # Each segment's age at its end: its sample count (for a lead
+    # segment, plus the incoming count) times ``dt``, plus, for a lead
+    # segment, the incoming seed lead.  A flip's interval is the age of
+    # the segment before it; the outgoing count is that of the lane's
+    # last segment.
+    seg_counts = seg_lengths.copy()
+    seg_counts[starts] += count_in
+    ages = seg_counts * dt
     ages[starts] += elapsed_in
     seg_values = np.empty(flips.size + n_lanes)
     seg_values[starts] = scale_in
@@ -317,7 +322,8 @@ def _compressive_target(
         y_start = target_floor[:, 0] + scale_in * target_extra[:, 0]
     # Each flip toggles the comparator.
     carry.comp_state = comp_state * (-1) ** counts
-    carry.elapsed = ages[ends]
+    carry.count = seg_counts[ends]
+    carry.elapsed = np.where(counts == 0, elapsed_in, 0.0)
     carry.scale = seg_values[ends]
     return target, y_start
 

@@ -62,11 +62,12 @@ def compressive_slew_limit_carry(
     order: int,
     initial_interval: float,
     comp_state: int,
+    count: int,
     elapsed: float,
     scale: float,
     y: float,
     primed: bool,
-) -> "tuple[np.ndarray, int, float, float, float]":
+) -> "tuple[np.ndarray, int, int, float, float, float]":
     """Compressive slew limiting with carried recurrence state.
 
     When *primed* is False the comparator/compression/tracker state is
@@ -74,19 +75,18 @@ def compressive_slew_limit_carry(
     snapshot of a long-running signal, so the compression state starts
     as if the signal had been toggling at its own rate
     (*initial_interval*) forever.  When True, (*comp_state*,
-    *elapsed*, *scale*, *y*) continue the loop where the previous chunk
-    stopped.
+    *count*, *elapsed*, *scale*, *y*) continue the loop where the
+    previous chunk stopped.
 
-    The half-cycle age at a flip is ``count * dt``, *count* being the
-    samples since the last flip, plus the incoming *elapsed* while the
-    chunk has not flipped yet; each flip's scale comes from
+    The half-cycle age at a flip is ``count * dt + elapsed``: *count*
+    is the integer number of samples since the last flip (carried
+    across chunks) and *elapsed* the seed interval until the lane's
+    first flip, 0.0 after it.  Each flip's scale comes from
     :func:`~repro.kernels.cascade._flip_scale`.  That is the numpy
-    kernel's arithmetic, so the two backends give the same bytes.  A
-    chunk boundary rounds the carried age once more than a whole
-    record does, so a split record matches the whole one unless that
-    rounding reaches a flip scale's last bit.
+    kernel's arithmetic, so the two backends give the same bytes, and
+    a split record rounds every age exactly as the whole one does.
 
-    Returns ``(out, comp_state, elapsed, scale, y)``.
+    Returns ``(out, comp_state, count, elapsed, scale, y)``.
     """
     n = len(target_extra)
     out = np.empty(n)
@@ -96,11 +96,12 @@ def compressive_slew_limit_carry(
     inv_2corner = 1.0 / (2.0 * corner)
     if not primed:
         comp_state = 1 if v_list[0] > 0.0 else -1
+        count = 0
         elapsed = initial_interval
         scale = 1.0 / (1.0 + (inv_2corner / elapsed) ** order)
         y = float(floor_list[0]) + scale * float(extra_list[0])
     state = comp_state
-    last_flip = 0
+    last_flip = -count
     up = max_step
     down = -max_step
     for i in range(n):
@@ -118,7 +119,7 @@ def compressive_slew_limit_carry(
             dv = down
         y += dv
         out[i] = y
-    return out, state, (n - last_flip) * dt + elapsed, scale, y
+    return out, state, n - last_flip, elapsed, scale, y
 
 
 def match_edges(
@@ -274,8 +275,8 @@ def fine_delay_cascade(
     reference loops, so one call on unprimed states is **bit-exact**
     against the chain of one-stage calls on each lane (and each lane
     against its own one-lane call), and chunked calls reproduce one
-    whole-record call whenever the frozen statistics match, up to the
-    carried half-cycle ages' rounding (see ``repro.core.streaming``).
+    whole-record call byte for byte whenever the frozen statistics
+    match.
     """
     n_lanes = values.shape[0]
     x = values
@@ -293,6 +294,7 @@ def fine_delay_cascade(
             if not carry.primed:
                 # Placeholders: unprimed lanes seed from their record.
                 carry.comp_state = np.zeros(n_lanes, dtype=np.int8)
+                carry.count = np.zeros(n_lanes, dtype=np.int64)
                 carry.elapsed = np.zeros(n_lanes)
                 carry.scale = np.ones(n_lanes)
                 carry.slew_y = np.zeros(n_lanes)
@@ -301,6 +303,7 @@ def fine_delay_cascade(
                 (
                     slewed[lane],
                     carry.comp_state[lane],
+                    carry.count[lane],
                     carry.elapsed[lane],
                     carry.scale[lane],
                     _,
@@ -315,6 +318,7 @@ def fine_delay_cascade(
                     stage.order,
                     float(carry.initial_interval[lane]),
                     int(carry.comp_state[lane]),
+                    int(carry.count[lane]),
                     float(carry.elapsed[lane]),
                     float(carry.scale[lane]),
                     float(carry.slew_y[lane]),

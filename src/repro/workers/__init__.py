@@ -8,14 +8,14 @@ multi-host service.  Three layers, all stdlib + numpy only:
     hello/welcome handshake keyed by **cache identity** (code-version
     salt + kernel backend) and guarded by the shared
     ``REPRO_MASTER_TOKEN`` secret, point-batch dispatch, streamed
-    result upload, ping/pong heartbeats, and work-stealing revocation.
+    result upload, ping/pong heartbeats, and the revocation a failure
+    drain sends.
     Waveforms and arrays cross the wire as dtype/shape-framed raw
     bytes (no pickle), from local and remote workers alike.
 :mod:`repro.workers.pool`
     :class:`~repro.workers.pool.WorkerPool` — the pool-side scheduler
     that shards campaign points across every connected worker,
-    rebalances the tail by stealing queued points back from busy
-    workers, requeues in-flight points when a worker dies or misses
+    requeues in-flight points when a worker dies or misses
     its heartbeat deadline (idempotent: the content-addressed cache
     is the rendezvous point, so re-execution is safe and a resubmit
     resumes from hits), and merges per-worker

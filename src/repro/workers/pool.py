@@ -18,17 +18,15 @@
   mismatched worker would poison the bit-identical-results contract.
 * **scheduling** — :meth:`WorkerPool.run` keeps a small batch of
   points outstanding per worker and tops each worker up as results
-  stream back, so the queue itself load-balances; when the queue
-  drains and a worker sits idle, the pool **steals** queued points
-  back from the busiest worker (a ``revoke`` round-trip — points the
-  worker already started simply finish and win the race; a worker
-  whose revoke came back empty is not asked again until it delivers
-  a result).
+  stream back, so the queue itself load-balances.  The first point
+  failure stops dispatch and **revokes** every worker's queued points
+  (a ``revoke`` round-trip — points a worker already started simply
+  finish), so the drain only waits for what is computing.
 * **liveness** — a heartbeat thread pings every worker and declares
   any worker silent past ``deadline`` seconds dead; a dead or
   disconnected worker's in-flight points are **requeued** onto the
-  survivors.  Requeue and steal re-execution are idempotent: every
-  point's result is a pure function of its identity and lands in the
+  survivors.  Requeue re-execution is idempotent: every point's
+  result is a pure function of its identity and lands in the
   content-addressed cache, which is the rendezvous point for
   kill-resume across pool restarts too.
 
@@ -138,11 +136,6 @@ class _WorkerHandle:
         #: run-loop flag: death already processed (dedupes the reader
         #: thread's and the heartbeat thread's "dead" events).
         self.retired = False
-        #: a revoke round-trip is in flight (run-loop only).
-        self.stealing = False
-        #: the last revoke came back empty: everything outstanding has
-        #: started, so don't ask again until a result arrives.
-        self.unstealable = False
 
     def send(self, obj: dict, frames: Tuple[bytes, ...] = ()) -> None:
         with self.send_lock:
@@ -179,15 +172,9 @@ class WorkerPool:
     connect_timeout:
         How long :meth:`run` waits for the first worker (and for all
         spawned workers) before giving up.
-    batch_size:
-        Points per dispatch message; ``None`` picks a small value from
-        the campaign size so the tail stays balanced.
     max_requeues:
         A single point surviving this many worker deaths fails the
         campaign (it is probably what is killing them).
-    salt:
-        Cache code-version salt for the handshake identity; defaults
-        to the campaign cache's salt.
     """
 
     def __init__(
@@ -198,9 +185,7 @@ class WorkerPool:
         heartbeat: float = 1.0,
         deadline: float = 15.0,
         connect_timeout: float = 60.0,
-        batch_size: Optional[int] = None,
         max_requeues: int = 3,
-        salt: Optional[str] = None,
     ):
         spec = parse_workers_spec(workers)
         self.spawn_count: int = spec["spawn"]
@@ -213,9 +198,8 @@ class WorkerPool:
         self.heartbeat = float(heartbeat)
         self.deadline = float(deadline)
         self.connect_timeout = float(connect_timeout)
-        self.batch_size = batch_size
         self.max_requeues = int(max_requeues)
-        self.identity = worker_cache_identity(salt)
+        self.identity = worker_cache_identity()
         self._workers: Dict[str, _WorkerHandle] = {}
         self._lock = threading.Lock()
         self._events: "queue.Queue[tuple]" = queue.Queue()
@@ -469,8 +453,8 @@ class WorkerPool:
         one worker as a unit, which evaluates it as one fused kernel
         pass and still streams one result per point back.  All
         accounting (batch top-up, dispatch counters, requeue) stays in
-        points; a requeued or stolen pack member is re-dispatched as a
-        scalar singleton, which is idempotent and cache-equivalent.
+        points; a requeued pack member is re-dispatched as a scalar
+        singleton, which is idempotent and cache-equivalent.
 
         Raises
         ------
@@ -509,7 +493,7 @@ class WorkerPool:
         pending = deque(units)
         done: set = set()
         requeues: Dict[int, int] = {}
-        batch = self.batch_size or max(
+        batch = max(
             1, min(4, len(points) // (2 * max(1, len(self.live_workers()))))
         )
         draining = False  # set by the first point failure
@@ -542,7 +526,6 @@ class WorkerPool:
                 break
             if not draining:
                 self._dispatch(pending, batch, collect)
-                self._steal(pending, done)
             if (
                 not self.live_workers()
                 and (pending or outstanding_total() or not draining)
@@ -569,16 +552,10 @@ class WorkerPool:
                 )
                 continue
             if kind == "revoked":
-                handle.stealing = False
-                handle.unstealable = not envelope.get("indices")
+                # Only the failure drain revokes: returned points are
+                # dropped, never rescheduled.
                 for index in envelope.get("indices", ()):
-                    point = handle.outstanding.pop(index, None)
-                    if point is not None and index not in done:
-                        if draining:
-                            continue
-                        # A revoked pack lane re-enters as a scalar
-                        # singleton unit — same result, by contract.
-                        pending.append([point])
+                    handle.outstanding.pop(index, None)
                 continue
             if kind == "point_error":
                 index = envelope.get("index")
@@ -593,10 +570,9 @@ class WorkerPool:
             if kind == "result":
                 index = envelope.get("index")
                 handle.outstanding.pop(index, None)
-                handle.unstealable = False
                 if index in done or index not in by_index:
-                    # Duplicate delivery of a stolen/requeued point:
-                    # the first result won.
+                    # Duplicate delivery of a requeued point: the
+                    # first result won.
                     continue
                 point = by_index[index]
                 with instrument.span("ipc.decode"):
@@ -654,46 +630,7 @@ class WorkerPool:
                     handle.outstanding[point.index] = point
                 instrument.count("workers.points.dispatched", len(flat))
 
-    def _steal(self, pending: deque, done: set) -> None:
-        """Rebalance the tail: revoke queued points from busy workers.
-
-        Only fires when the queue is dry and a worker is idle while
-        another still holds more than one outstanding point (its head
-        is probably computing; the tail is stealable).  The revoke is
-        confirmed by the worker, so a point is never lost: either it
-        comes back (and is redispatched to the idle worker on the
-        next loop) or the busy worker already started it and its
-        result simply arrives first.  A worker whose last revoke came
-        back empty (say, it is computing one whole lane pack) is
-        skipped until its next result, or the loop would re-ask it on
-        every pass.
-        """
-        if pending:
-            return
-        live = self.live_workers()
-        idle = [h for h in live if not h.outstanding]
-        if not idle:
-            return
-        busiest = max(
-            (h for h in live if not h.unstealable),
-            key=lambda h: len(h.outstanding),
-            default=None,
-        )
-        if (
-            busiest is None
-            or busiest.stealing
-            or len(busiest.outstanding) <= 1
-        ):
-            return
-        queued = [i for i in busiest.outstanding if i not in done]
-        victims = queued[1 + len(queued) // 2:] or queued[1:]
-        if not victims:
-            return
-        self._revoke(busiest, victims)
-        instrument.count("workers.points.stolen", len(victims))
-
     def _revoke(self, handle: _WorkerHandle, indices: List[int]) -> None:
-        handle.stealing = True
         try:
             handle.send({"type": "revoke", "indices": list(indices)})
         except OSError:

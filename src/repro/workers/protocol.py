@@ -331,20 +331,18 @@ def decode_tree(obj: Any, frames: List[bytes]) -> Any:
 # -- handshake helpers ------------------------------------------------------
 
 
-def worker_cache_identity(salt: Optional[str] = None) -> Dict[str, str]:
+def worker_cache_identity() -> Dict[str, str]:
     """The cache identity both handshake sides must agree on.
 
-    ``salt`` is the campaign cache's code-version salt (defaults to
-    :data:`repro.campaign.cache.CACHE_SALT`); ``backend`` is the
+    ``salt`` is the campaign cache's code-version salt
+    (:data:`repro.campaign.cache.CACHE_SALT`); ``backend`` is the
     active kernel backend.  Two processes with equal identities
     produce interchangeable, cache-addressable results — that
-    equality is what makes requeue/steal re-execution idempotent.
+    equality is what makes requeue re-execution idempotent.
     """
-    if salt is None:
-        from ..campaign.cache import CACHE_SALT
+    from ..campaign.cache import CACHE_SALT
 
-        salt = CACHE_SALT
-    return {"salt": str(salt), "backend": active_backend()}
+    return {"salt": CACHE_SALT, "backend": active_backend()}
 
 
 def parse_address(

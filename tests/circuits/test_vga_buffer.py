@@ -42,7 +42,7 @@ def compressive_slew_limit(
     """One fresh record through the reference compressive slew loop."""
     return python_backend.compressive_slew_limit_carry(
         v_in, target_floor, target_extra, max_step, dt, hysteresis,
-        corner, order, initial_interval, 0, 0.0, 1.0, 0.0, False,
+        corner, order, initial_interval, 0, 0, 0.0, 1.0, 0.0, False,
     )[0]
 
 

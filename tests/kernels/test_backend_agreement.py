@@ -133,7 +133,7 @@ def _compressive_slew_limit(
     if kernels.active_backend() == "python":
         return python_backend.compressive_slew_limit_carry(
             v_in, target_floor, target_extra, max_step, dt, hysteresis,
-            corner, order, initial_interval, 0, 0.0, 1.0, 0.0, False,
+            corner, order, initial_interval, 0, 0, 0.0, 1.0, 0.0, False,
         )[0]
     carry = CascadeStageState()
     carry.freeze_stats([hysteresis], [initial_interval])

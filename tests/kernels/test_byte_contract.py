@@ -7,8 +7,9 @@ every check here compares ``tobytes()``, never a tolerance:
 * a corpus of whole ``FineDelayLine.process`` records (1, 2 and 4
   stages; dt 1, 5 and 20 ps; random control voltage);
 * a multi-line ``calibrate_lines_pack`` (the solvers' tables);
-* streams in chunks of 1, 2 and 7 samples and in uneven splits, against
-  each other and against the whole record;
+* streams in chunks of 1, 2 and 7 samples, in uneven splits and in
+  random many-chunk splits, against each other and against the whole
+  record;
 * both smoke campaign specs at ``batch_lanes`` 1 and ``auto``, and the
   ``range_mc`` benchmark spec's metrics;
 * a ramp longer than the relaxation's sweep cap, which must also equal
@@ -110,9 +111,9 @@ def test_calibrate_lines_pack():
     assert vectorised == reference
 
 
-def _stream(stimulus, bounds, seed):
-    """The line's primed stream over *stimulus* cut at *bounds*."""
-    processor = FineDelayLine(n_stages=2, seed=seed).open_stream()
+def _stream(line, stimulus, bounds):
+    """*line*'s primed stream over *stimulus* cut at *bounds*."""
+    processor = line.open_stream()
     processor.prime(stimulus)
     return np.concatenate(
         [
@@ -141,12 +142,55 @@ def test_streams_equal_the_whole_record(chunk):
 
     def run():
         whole = FineDelayLine(n_stages=2, seed=7).process(stimulus).values
-        return whole, _stream(stimulus, bounds, seed=7)
+        line = FineDelayLine(n_stages=2, seed=7)
+        return whole, _stream(line, stimulus, bounds)
 
     (whole, streamed), (np_whole, np_streamed) = _on_both(run)
     assert np_whole.tobytes() == whole.tobytes()
     assert np_streamed.tobytes() == streamed.tobytes()
     assert streamed.tobytes() == whole.tobytes()
+
+
+def _split_case(case):
+    """A random 1-4-stage line, record and 2-400-cut split."""
+    rng = np.random.default_rng([28, case])
+    dt = float(rng.choice([1e-12, 2e-12, 5e-12]))
+    stimulus = synthesize_nrz(
+        rng.integers(0, 2, int(rng.integers(16, 64))),
+        float(rng.uniform(1.6e9, 6.4e9)),
+        dt,
+    )
+    n = len(stimulus)
+    cuts = rng.choice(
+        np.arange(1, n), int(rng.integers(2, 400)), replace=False
+    )
+    return (
+        int(rng.integers(1, 5)),
+        stimulus,
+        [0] + sorted(cuts.tolist()) + [n],
+        int(rng.integers(1 << 30)),
+        float(rng.uniform(0.2, 1.4)),
+    )
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_random_splits_equal_the_whole_record(case):
+    # Hundreds of chunk boundaries, each carrying every lane's
+    # half-cycle age across: the carried age must round exactly as the
+    # whole record's does.
+    n_stages, stimulus, bounds, seed, vctrl = _split_case(case)
+
+    def line():
+        line = FineDelayLine(n_stages=n_stages, seed=seed)
+        line.vctrl = vctrl
+        return line
+
+    def run():
+        whole = line().process(stimulus).values
+        return whole, _stream(line(), stimulus, bounds)
+
+    for whole, streamed in _on_both(run):
+        assert streamed.tobytes() == whole.tobytes()
 
 
 def test_one_sample_numpy_stream_takes_no_fallback(monkeypatch):
@@ -163,7 +207,11 @@ def test_one_sample_numpy_stream_takes_no_fallback(monkeypatch):
     monkeypatch.setattr(numpy_backend, "slew_limit", spy)
     stimulus = calibration_stimulus(n_bits=2, dt=20e-12)
     whole = FineDelayLine(n_stages=2, seed=7).process(stimulus).values
-    streamed = _stream(stimulus, list(range(len(stimulus) + 1)), seed=7)
+    streamed = _stream(
+        FineDelayLine(n_stages=2, seed=7),
+        stimulus,
+        list(range(len(stimulus) + 1)),
+    )
     assert fallbacks == []
     assert streamed.tobytes() == whole.tobytes()
 

@@ -27,7 +27,7 @@ from repro.campaign.runner import evaluate_point, run_campaign
 from repro.campaign.spec import CampaignSpec, expand_points
 from repro.errors import CampaignError, WorkerError, WorkerProtocolError
 from repro.workers import WorkerPool, parse_workers_spec
-from repro.workers.pool import PointFailure
+from repro.workers.pool import PointFailure, _WorkerHandle
 from repro.workers.protocol import (
     PROTOCOL_VERSION,
     encode_tree,
@@ -280,20 +280,27 @@ class TestSpawnedWorkers:
         assert shm_segments() - before == set()
 
     def test_busy_pack_is_not_revoked_in_a_spin(self, monkeypatch):
-        # One pack keeps one worker busy while the other idles.  A
-        # revoke that came back empty must not be re-sent on every
-        # scheduler pass: at most one per delivered result, plus one
-        # per worker.
+        # One pack keeps one worker busy while the other idles.  Only a
+        # failure drain revokes, so a successful run sends no revoke and
+        # dispatches every point exactly once.
         spec = tiny_spec(n_instances=2)  # 4 points
         points = expand_points(spec)
         calls = []
+        dispatched = []
         revoke = WorkerPool._revoke
+        send = _WorkerHandle.send
 
         def counted(pool, handle, indices):
             calls.append(list(indices))
             return revoke(pool, handle, indices)
 
+        def sent(handle, obj, frames=()):
+            if obj.get("type") == "batch":
+                dispatched.extend(p["index"] for p in obj["points"])
+            return send(handle, obj, frames)
+
         monkeypatch.setattr(WorkerPool, "_revoke", counted)
+        monkeypatch.setattr(_WorkerHandle, "send", sent)
         got = {}
         with WorkerPool("spawn://2", deadline=60.0) as pool:
             pool.run(
@@ -302,7 +309,8 @@ class TestSpawnedWorkers:
                 on_result=lambda p, m, d, s: got.__setitem__(p.index, m),
             )
         assert sorted(got) == [p.index for p in points]
-        assert len(calls) <= len(points) + 2, f"{len(calls)} revokes"
+        assert calls == [], f"{len(calls)} revokes"
+        assert sorted(dispatched) == [p.index for p in points]
 
     def test_bad_spec_fails_before_spawning(self):
         with pytest.raises(WorkerError, match="carrier://1"):
@@ -413,7 +421,7 @@ class TestFakeWorkerScheduling:
         # CampaignError shape the --jobs pool raises.
         spec = tiny_spec(rates=["2.4 Gbps"])
 
-        def fake_run(self, points, *, collect, on_result):
+        def fake_run(self, points, *, collect, on_result, packs=None):
             raise PointFailure(points[0], "RuntimeError: boom")
 
         monkeypatch.setattr(WorkerPool, "run", fake_run)
