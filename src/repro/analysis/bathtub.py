@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from ..errors import MeasurementError
 from ..jitter.decomposition import DualDiracModel, q_ber
@@ -28,7 +27,9 @@ __all__ = [
 
 def _gaussian_tail(x: np.ndarray) -> np.ndarray:
     """One-sided Gaussian tail probability Q(x)."""
-    return 0.5 * _special.erfc(x / math.sqrt(2.0))
+    from scipy import special
+
+    return 0.5 * special.erfc(x / math.sqrt(2.0))
 
 
 def _widest_true_run(mask: np.ndarray) -> tuple:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import List, Literal, Optional, Sequence, Union
 
 import numpy as np
-from scipy import fft as _scipy_fft
-from scipy import signal as _scipy_signal
 
 from ..errors import InsufficientEdgesError, MeasurementError
 from ..jitter.tie import tie_from_edges
@@ -61,16 +59,10 @@ def coarse_delay_estimate(reference: Waveform, delayed: Waveform) -> float:
     Used to seed the precise edge-matching measurement; also useful on
     its own for signals without clean threshold crossings.
     """
-    if abs(reference.dt - delayed.dt) > 1e-12 * reference.dt:
-        raise MeasurementError("waveforms must share a sample interval")
-    a = reference.values - reference.values.mean()
-    b = delayed.values - delayed.values.mean()
-    n = min(len(a), len(b))
-    a = a[:n]
-    b = b[:n]
-    correlation = _scipy_signal.correlate(b, a, mode="full", method="fft")
-    lag = int(np.argmax(correlation)) - (n - 1)
-    return lag * reference.dt + (delayed.t0 - reference.t0)
+    estimates = _coarse_delay_estimates_fft(
+        reference, [delayed], delayed.values[None, :]
+    )
+    return float(estimates[0])
 
 
 def measure_delay(
@@ -137,18 +129,32 @@ def measure_delay(
     )
 
 
+def _next_fast_len(target: int) -> int:
+    """Smallest 5-smooth integer >= *target* (scipy's real-FFT length)."""
+    best = 1 << (target - 1).bit_length()
+    power5 = 1
+    while power5 < best:
+        power35 = power5
+        while power35 < best:
+            # Lift power35 to at least target by the least power of two.
+            best = min(best, power35 << (-(-target // power35) - 1).bit_length())
+            power35 *= 3
+        power5 *= 5
+    return best
+
+
 def _coarse_delay_estimates_fft(
     reference: Waveform,
     lanes: Sequence[Waveform],
     stacked: np.ndarray,
 ) -> np.ndarray:
-    """All-lane :func:`coarse_delay_estimate` via one batched FFT.
+    """Cross-correlation delay estimates of every lane against *reference*.
 
-    Evaluates the same full cross-correlation against the shared
-    reference for every lane in a single frequency-domain pass.  The
-    estimate is ``argmax`` of the correlation — an integer sample lag —
-    so the result matches the per-lane scipy correlation exactly except
-    on (measure-zero) ties between correlation bins.
+    The one correlation path: :func:`coarse_delay_estimate` is its
+    one-lane call.  One batched FFT evaluates the full cross-correlation
+    of each mean-removed lane (the rows of *stacked*) with the
+    mean-removed reference; each estimate is the ``argmax`` of that
+    correlation, an integer sample lag, plus the lanes' start offset.
     """
     for lane in lanes:
         if abs(reference.dt - lane.dt) > 1e-12 * reference.dt:
@@ -157,7 +163,7 @@ def _coarse_delay_estimates_fft(
     n = min(a.shape[0], stacked.shape[1])
     a = a[:n]
     b = (stacked - stacked.mean(axis=1, keepdims=True))[:, :n]
-    n_fft = _scipy_fft.next_fast_len(2 * n - 1)
+    n_fft = _next_fast_len(2 * n - 1)
     spectrum = np.fft.rfft(b, n_fft, axis=1) * np.fft.rfft(a[::-1], n_fft)
     correlation = np.fft.irfft(spectrum, n_fft, axis=1)[:, : 2 * n - 1]
     lags = np.argmax(correlation, axis=1) - (n - 1)

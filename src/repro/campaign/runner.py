@@ -433,8 +433,10 @@ class CampaignResult:
     evaluated keeps ``None`` in ``metrics`` and the explicit status
     ``"missing"`` in ``statuses``; satisfied points carry ``"cached"``
     or ``"computed"``.  ``computed`` / ``cached`` count the points by
-    how they were satisfied; ``cache_stats`` is the cache's tally dict
-    (empty when no cache directory was used).
+    how they were satisfied; ``jobs`` is the number of processes that
+    computed them (the workers the pool admitted, or ``1`` in-process);
+    ``cache_stats`` is the cache's tally dict (empty when no cache
+    directory was used).
     """
 
     spec: CampaignSpec
@@ -632,7 +634,9 @@ def run_campaign(
                     )
                 except PointFailure as exc:
                     raise failed(exc.point, exc) from exc
+            jobs = pool.joined
         else:
+            jobs = 1
             for unit in units:
                 try:
                     if len(unit) == 1:

@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import signal as _scipy_signal
 
 from ..errors import CircuitError
+from ..kernels.iir import lfilter
 from ..signals.filters import bandwidth_to_time_constant, cascade_filter_plan
 from ..signals.waveform import Waveform, WaveformBatch
 from .element import CircuitElement
@@ -115,7 +115,7 @@ class TransmissionLine(CircuitElement):
                 b, a, zi_unit = cascade_filter_plan(
                     batch.dt, bandwidth_to_time_constant(bandwidth)
                 )
-                values, _ = _scipy_signal.lfilter(
+                values, _ = lfilter(
                     b, a, values, axis=1, zi=zi_unit[None, :] * values[:, :1]
                 )
         if self.gain != 1.0:

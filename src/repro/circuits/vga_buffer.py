@@ -36,11 +36,11 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy import signal as _scipy_signal
 
 from .. import kernels
 from ..errors import CircuitError, ControlRangeError
 from ..kernels.cascade import CascadeStage
+from ..kernels.iir import lfilter
 from ..signals.filters import (
     bandwidth_to_time_constant,
     bilinear_lowpass_coefficients,
@@ -285,9 +285,7 @@ class BandLimitedNoise:
         else:
             filtered = self.rng.standard_normal(out=out)
         if self._b is not None:
-            filtered, self._zi = _scipy_signal.lfilter(
-                self._b, self._a, filtered, zi=self._zi
-            )
+            filtered, self._zi = lfilter(self._b, self._a, filtered, zi=self._zi)
             filtered = filtered[self._warmup:]
             self._warmup = 0
         if self.gain is None:

@@ -93,12 +93,12 @@ import math
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
-from scipy import signal as _scipy_signal
 
 from .. import instrument, kernels
 from ..circuits.vga_buffer import StagePlanner, stage_control
 from ..errors import CircuitError
 from ..kernels.cascade import CascadeStageState
+from ..kernels.iir import lfilter, lfilter_zi
 from ..signals.filters import (
     bandwidth_to_time_constant,
     bilinear_lowpass_coefficients,
@@ -192,13 +192,11 @@ class _TLineOp:
     def apply(self, values: np.ndarray, dt: float) -> np.ndarray:
         if self._b is not None:
             zi = (
-                _scipy_signal.lfilter_zi(self._b, self._a) * values[0]
+                lfilter_zi(self._b, self._a) * values[0]
                 if self.zi is None
                 else self.zi
             )
-            values, self.zi = _scipy_signal.lfilter(
-                self._b, self._a, values, zi=zi
-            )
+            values, self.zi = lfilter(self._b, self._a, values, zi=zi)
         if self.gain != 1.0:
             values = values * self.gain
         return values

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from ..errors import InsufficientEdgesError, MeasurementError
 
@@ -41,7 +40,9 @@ def q_ber(ber: float) -> float:
     """
     if not 0.0 < ber < 0.5:
         raise MeasurementError(f"BER must be in (0, 0.5), got {ber}")
-    return math.sqrt(2.0) * float(_special.erfcinv(2.0 * ber))
+    from scipy import special
+
+    return math.sqrt(2.0) * float(special.erfcinv(2.0 * ber))
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,8 @@ def _fit_tail(
     Returns ``(mu, sigma)`` of the Gaussian whose tail passes through
     the observed quantiles at probabilities *p_outer* < *p_inner*.
     """
+    from scipy import special
+
     n = sorted_tie.size
     if right:
         x_outer = float(np.quantile(sorted_tie, 1.0 - p_outer))
@@ -83,8 +86,8 @@ def _fit_tail(
     else:
         x_outer = float(np.quantile(sorted_tie, p_outer))
         x_inner = float(np.quantile(sorted_tie, p_inner))
-    z_outer = math.sqrt(2.0) * float(_special.erfcinv(2.0 * p_outer))
-    z_inner = math.sqrt(2.0) * float(_special.erfcinv(2.0 * p_inner))
+    z_outer = math.sqrt(2.0) * float(special.erfcinv(2.0 * p_outer))
+    z_inner = math.sqrt(2.0) * float(special.erfcinv(2.0 * p_inner))
     denom = z_outer - z_inner
     if denom <= 0:
         raise MeasurementError("tail quantile levels must differ")

@@ -85,8 +85,8 @@ class CascadeStage:
     b, a:
         Bilinear one-pole low-pass coefficients for the stage bandwidth.
     zi_unit:
-        ``scipy.signal.lfilter_zi(b, a)`` — the settled filter state for
-        a unit input, scaled by the first slewed sample at run time.
+        ``iir.lfilter_zi(b, a)`` — the settled filter state for a unit
+        input, scaled by the first slewed sample at run time.
     noise:
         Pre-generated band-limited input noise (same shape as the
         record), or ``None`` for a noiseless stage.

@@ -30,9 +30,9 @@ reuse them.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as _scipy_signal
 
 from .cascade import CascadeStageState, _flip_scale
+from .iir import lfilter
 from .python_backend import slew_limit
 
 __all__ = [
@@ -408,9 +408,7 @@ def fine_delay_cascade(
             zi = stage.zi_unit[None, :] * slewed[:, :1]
         else:
             zi = carry.filter_zi
-        x, carry.filter_zi = _scipy_signal.lfilter(
-            stage.b, stage.a, slewed, axis=1, zi=zi
-        )
+        x, carry.filter_zi = lfilter(stage.b, stage.a, slewed, axis=1, zi=zi)
         carry.primed = True
     return x
 

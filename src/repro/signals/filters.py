@@ -6,11 +6,12 @@ single-pole high-pass sections (AC coupling of the jitter-injection
 path).  All filters here operate on :class:`~repro.signals.waveform.Waveform`
 objects and return new waveforms on the same grid.
 
-The IIR sections are discretised with the bilinear transform via
-:func:`scipy.signal.lfilter`, with the initial filter state chosen so a
-record that starts at a settled DC level stays settled (no artificial
-start-up transient — important because experiments measure the very
-first edges of a record too).
+The IIR sections are discretised with the bilinear transform and run
+through :func:`repro.kernels.iir.lfilter` (scipy's compiled ``lfilter``
+routine, loaded without ``scipy.signal``), with the initial filter state
+chosen so a record that starts at a settled DC level stays settled (no
+artificial start-up transient — important because experiments measure
+the very first edges of a record too).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import threading
 from typing import Optional
 
 import numpy as np
-from scipy import signal as _scipy_signal
 
 from .. import instrument
 from ..errors import WaveformError
+from ..kernels.iir import lfilter, lfilter_zi
 from .waveform import Waveform
 
 __all__ = [
@@ -69,7 +70,7 @@ def bandwidth_to_rise_time(bandwidth_3db: float) -> float:
 def bilinear_lowpass_coefficients(dt: float, tau: float) -> tuple:
     """Bilinear-transform coefficients for ``H(s) = 1 / (1 + s tau)``.
 
-    Returns the ``(b, a)`` arrays for :func:`scipy.signal.lfilter`.
+    Returns the ``(b, a)`` arrays for :func:`repro.kernels.iir.lfilter`.
     This is the one place the one-pole discretisation lives: the
     stage-bandwidth filter of every cascade plan (through
     :func:`cascade_filter_plan`), the noise band-limiting in
@@ -112,10 +113,10 @@ def clear_filter_caches() -> None:
 def lowpass_zi_unit(dt: float, tau: float) -> np.ndarray:
     """Settled ``lfilter`` state for a unit input, cached per ``(dt, tau)``.
 
-    ``scipy.signal.lfilter_zi`` solves a small linear system each call;
-    inside the fused cascade that solve would repeat for every stage of
-    every record even though a given stage geometry only ever has a
-    handful of distinct ``(dt, tau)`` pairs.
+    :func:`repro.kernels.iir.lfilter_zi` solves a small linear system
+    each call; inside the fused cascade that solve would repeat for
+    every stage of every record even though a given stage geometry only
+    ever has a handful of distinct ``(dt, tau)`` pairs.
     """
     key = (float(dt), float(tau))
     with _FILTER_CACHE_LOCK:
@@ -125,9 +126,9 @@ def lowpass_zi_unit(dt: float, tau: float) -> np.ndarray:
         return cached
     instrument.count("filters.zi_cache_misses")
     # Solve outside the lock: concurrent first calls may duplicate the
-    # work, but never block each other on scipy.
+    # work, but never block each other on the solve.
     b, a = bilinear_lowpass_coefficients(key[0], key[1])
-    zi = _scipy_signal.lfilter_zi(b, a)
+    zi = lfilter_zi(b, a)
     zi.setflags(write=False)
     with _FILTER_CACHE_LOCK:
         if key not in _ZI_CACHE and len(_ZI_CACHE) >= _FILTER_CACHE_MAX:
@@ -173,8 +174,8 @@ def single_pole_lowpass(waveform: Waveform, bandwidth_3db: float) -> Waveform:
     """
     tau = bandwidth_to_time_constant(bandwidth_3db)
     b, a = bilinear_lowpass_coefficients(waveform.dt, tau)
-    zi = _scipy_signal.lfilter_zi(b, a) * waveform.values[0]
-    filtered, _ = _scipy_signal.lfilter(b, a, waveform.values, zi=zi)
+    zi = lfilter_zi(b, a) * waveform.values[0]
+    filtered, _ = lfilter(b, a, waveform.values, zi=zi)
     return Waveform(filtered, waveform.dt, waveform.t0)
 
 
@@ -217,8 +218,8 @@ def single_pole_highpass(
     a = np.array([1.0, (1.0 - k) / (1.0 + k)])
     if settled_value is None:
         settled_value = waveform.values[0]
-    zi = _scipy_signal.lfilter_zi(b, a) * settled_value
-    filtered, _ = _scipy_signal.lfilter(b, a, waveform.values, zi=zi)
+    zi = lfilter_zi(b, a) * settled_value
+    filtered, _ = lfilter(b, a, waveform.values, zi=zi)
     return Waveform(filtered, waveform.dt, waveform.t0)
 
 

@@ -206,7 +206,8 @@ class WorkerPool:
         self._listeners: List[socket.socket] = []
         self._procs: List[multiprocessing.process.BaseProcess] = []
         self._threads: List[threading.Thread] = []
-        self._names = iter(f"w{i}" for i in range(1_000_000))
+        #: Workers admitted so far, dead ones included; names them.
+        self.joined = 0
         self._closed = False
         self._started = False
 
@@ -318,7 +319,8 @@ class WorkerPool:
             reject(mismatch)
         sock.settimeout(None)
         with self._lock:
-            name = next(self._names)
+            name = f"w{self.joined}"
+            self.joined += 1
             handle = _WorkerHandle(name, sock, hello)
             self._workers[name] = handle
         handle.send(

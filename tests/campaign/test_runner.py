@@ -21,6 +21,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign import runner
+from repro.campaign.report import build_report, format_report
 from repro.campaign.spec import canonical_json
 from repro.errors import CampaignError
 
@@ -116,6 +117,14 @@ class TestRunCampaign:
             cold_result.metrics
         )
 
+    def test_runtime_records_the_pool_workers(self, cold_result):
+        pooled = run_campaign(tiny_spec(), workers="spawn://2")
+        assert pooled.jobs == 2
+        report = build_report(pooled)
+        assert report["runtime"]["jobs"] == 2
+        assert "with 2 job(s)" in format_report(report).splitlines()[0]
+        assert cold_result.jobs == 1
+
     def test_metrics_align_with_points(self, cold_result):
         assert len(cold_result.metrics) == len(cold_result.points) == 4
         assert cold_result.computed == 4
@@ -196,6 +205,8 @@ class TestCaching:
         second = run_campaign(tiny_spec(), jobs=2, cache_dir=cache_dir)
         assert first.computed == 4
         assert second.computed == 0
+        # The warm run computes nothing, so it starts no pool.
+        assert (first.jobs, second.jobs) == (2, 1)
 
 
 # -- failure draining --------------------------------------------------------
